@@ -13,16 +13,18 @@
 package dsd_test
 
 import (
+	"context"
 	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dds"
-	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
+	"repro/internal/trace"
 	"repro/internal/truss"
 	"repro/internal/uds"
 	"repro/internal/webgraph"
@@ -34,6 +36,10 @@ const benchScale = 0.05
 
 // benchWorkers mirrors the paper's default p=32, clamped by GOMAXPROCS.
 const benchWorkers = 0
+
+// benchCtx never cancels, so the solvers the benches call directly cannot
+// fail and their error results are dropped.
+var benchCtx = context.Background()
 
 var (
 	undCache = map[string]*graph.Undirected{}
@@ -97,24 +103,25 @@ func BenchmarkFig5_UDSEfficiency(b *testing.B) {
 	b.ReportAllocs()
 	algos := []struct {
 		name string
-		run  func(g *graph.Undirected) uds.Result
+		run  func(context.Context, *graph.Undirected, solver.Params) (solver.Result, error)
+		p    solver.Params
 	}{
-		{"PFW", func(g *graph.Undirected) uds.Result { return uds.PFW(g, 0, benchWorkers) }},
-		{"PBU", func(g *graph.Undirected) uds.Result { return uds.PBU(g, 0.5, benchWorkers) }},
-		{"Local", func(g *graph.Undirected) uds.Result { return uds.Local(g, benchWorkers) }},
-		{"PKC", func(g *graph.Undirected) uds.Result { return uds.PKC(g, benchWorkers) }},
-		{"PKMC", func(g *graph.Undirected) uds.Result { return uds.PKMC(g, benchWorkers) }},
+		{"PFW", uds.PFW, solver.Params{Workers: benchWorkers}},
+		{"PBU", uds.PBU, solver.Params{Epsilon: 0.5, Workers: benchWorkers}},
+		{"Local", uds.Local, solver.Params{Workers: benchWorkers}},
+		{"PKC", uds.PKC, solver.Params{Workers: benchWorkers}},
+		{"PKMC", uds.PKMC, solver.Params{Workers: benchWorkers}},
 	}
 	for _, abbr := range undAbbrs {
 		g := undGraph(b, abbr)
 		for _, a := range algos {
 			b.Run(abbr+"/"+a.name, func(b *testing.B) {
 				b.ReportAllocs()
-				var density float64
+				var res solver.Result
 				for i := 0; i < b.N; i++ {
-					density = a.run(g).Density
+					res, _ = a.run(benchCtx, g, a.p)
 				}
-				b.ReportMetric(density, "density")
+				b.ReportMetric(res.Density, "density")
 			})
 		}
 	}
@@ -181,7 +188,7 @@ func BenchmarkFig6_UDSThreads(b *testing.B) {
 			b.Run(abbr+"/PBU/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					uds.PBU(g, 0.5, p)
+					uds.PBU(benchCtx, g, solver.Params{Epsilon: 0.5, Workers: p})
 				}
 			})
 		}
@@ -218,7 +225,7 @@ func BenchmarkFig7_UDSScalability(b *testing.B) {
 			b.Run(label+"/PBU", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					uds.PBU(sub, 0.5, benchWorkers)
+					uds.PBU(benchCtx, sub, solver.Params{Epsilon: 0.5, Workers: benchWorkers})
 				}
 			})
 		}
@@ -237,23 +244,24 @@ func BenchmarkFig8_DDSEfficiency(b *testing.B) {
 	b.ReportAllocs()
 	algos := []struct {
 		name string
-		run  func(d *graph.Directed) dds.Result
+		run  func(context.Context, *graph.Directed, solver.Params) (solver.DirectedResult, error)
+		p    solver.Params
 	}{
-		{"PBS", func(d *graph.Directed) dds.Result { return dds.PBS(d, benchWorkers, ddsBudget) }},
-		{"PFKS", func(d *graph.Directed) dds.Result { return dds.PFKS(d, benchWorkers, ddsBudget) }},
-		{"PFW", func(d *graph.Directed) dds.Result { return dds.PFW(d, 0, benchWorkers, 0) }},
-		{"PBD", func(d *graph.Directed) dds.Result { return dds.PBD(d, 2, 1, benchWorkers, 0) }},
-		{"PXY", func(d *graph.Directed) dds.Result { return dds.PXY(d, benchWorkers) }},
-		{"PWC", func(d *graph.Directed) dds.Result { return dds.PWC(d, benchWorkers) }},
+		{"PBS", dds.PBS, solver.Params{Workers: benchWorkers, Budget: ddsBudget}},
+		{"PFKS", dds.PFKS, solver.Params{Workers: benchWorkers, Budget: ddsBudget}},
+		{"PFW", dds.PFW, solver.Params{Workers: benchWorkers}},
+		{"PBD", dds.PBD, solver.Params{Delta: 2, Epsilon: 1, Workers: benchWorkers}},
+		{"PXY", dds.PXY, solver.Params{Workers: benchWorkers}},
+		{"PWC", dds.PWC, solver.Params{Workers: benchWorkers}},
 	}
 	for _, abbr := range dirAbbrs {
 		d := dirGraph(b, abbr)
 		for _, a := range algos {
 			b.Run(abbr+"/"+a.name, func(b *testing.B) {
 				b.ReportAllocs()
-				var res dds.Result
+				var res solver.DirectedResult
 				for i := 0; i < b.N; i++ {
-					res = a.run(d)
+					res, _ = a.run(benchCtx, d, a.p)
 				}
 				b.ReportMetric(res.Density, "density")
 				if res.TimedOut {
@@ -273,14 +281,15 @@ func BenchmarkTable7_GraphSizes(b *testing.B) {
 		d := dirGraph(b, abbr)
 		b.Run(abbr, func(b *testing.B) {
 			b.ReportAllocs()
-			var stats dds.PWCStats
+			var tr *trace.Trace
 			for i := 0; i < b.N; i++ {
-				_, stats = dds.PWCWithStats(d, benchWorkers)
+				tr = &trace.Trace{}
+				dds.PWC(benchCtx, d, solver.Params{Workers: benchWorkers, Trace: tr})
 			}
-			b.ReportMetric(float64(stats.ArcsInput), "arcs_input")
-			b.ReportMetric(float64(stats.ArcsAfterWarmStart), "arcs_warm")
-			b.ReportMetric(float64(stats.ArcsAtWStar), "arcs_wstar")
-			b.ReportMetric(float64(stats.ArcsDensest), "arcs_densest")
+			b.ReportMetric(float64(tr.Counters["arcs_input"]), "arcs_input")
+			b.ReportMetric(float64(tr.Counters["arcs_after_warm_start"]), "arcs_warm")
+			b.ReportMetric(float64(tr.Counters["arcs_at_wstar"]), "arcs_wstar")
+			b.ReportMetric(float64(tr.Counters["arcs_densest"]), "arcs_densest")
 		})
 	}
 }
@@ -295,19 +304,19 @@ func BenchmarkFig9_DDSThreads(b *testing.B) {
 			b.Run(abbr+"/PWC/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PWC(d, p)
+					dds.PWC(benchCtx, d, solver.Params{Workers: p})
 				}
 			})
 			b.Run(abbr+"/PXY/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PXY(d, p)
+					dds.PXY(benchCtx, d, solver.Params{Workers: p})
 				}
 			})
 			b.Run(abbr+"/PBD/p="+itoa(p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PBD(d, 2, 1, p, 0)
+					dds.PBD(benchCtx, d, solver.Params{Delta: 2, Epsilon: 1, Workers: p})
 				}
 			})
 		}
@@ -326,19 +335,19 @@ func BenchmarkFig10_DDSScalability(b *testing.B) {
 			b.Run(label+"/PWC", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PWC(sub, benchWorkers)
+					dds.PWC(benchCtx, sub, solver.Params{Workers: benchWorkers})
 				}
 			})
 			b.Run(label+"/PXY", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PXY(sub, benchWorkers)
+					dds.PXY(benchCtx, sub, solver.Params{Workers: benchWorkers})
 				}
 			})
 			b.Run(label+"/PBD", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dds.PBD(sub, 2, 1, benchWorkers, 0)
+					dds.PBD(benchCtx, sub, solver.Params{Delta: 2, Epsilon: 1, Workers: benchWorkers})
 				}
 			})
 		}
@@ -467,25 +476,6 @@ func BenchmarkExtensionTrussVsCore(b *testing.B) {
 				_, density, _ = truss.Densest(g, benchWorkers)
 			}
 			b.ReportMetric(density, "density")
-		})
-	}
-}
-
-// BenchmarkExtensionDistributed measures the BSP simulation of PKMC (the
-// paper's future-work deployment) across worker counts, reporting the
-// communication volume as metrics.
-func BenchmarkExtensionDistributed(b *testing.B) {
-	b.ReportAllocs()
-	g := undGraph(b, "EU")
-	for _, w := range []int{2, 4, 8} {
-		b.Run("w="+itoa(w), func(b *testing.B) {
-			b.ReportAllocs()
-			var stats dist.Stats
-			for i := 0; i < b.N; i++ {
-				stats = dist.KStarCore(g, w).Stats
-			}
-			b.ReportMetric(float64(stats.Supersteps), "supersteps")
-			b.ReportMetric(float64(stats.ValuesSent), "values_sent")
 		})
 	}
 }

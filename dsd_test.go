@@ -402,35 +402,6 @@ func TestInduceNumbersAPI(t *testing.T) {
 	}
 }
 
-func TestSolveUDSDistributed(t *testing.T) {
-	g := dsd.GenerateChungLu(2000, 16000, 2.3, 30)
-	local, _ := dsd.SolveUDS(g, dsd.AlgoPKMC, dsd.Options{Workers: 2})
-	distRes, stats := dsd.SolveUDSDistributed(g, 4)
-	if distRes.KStar != local.KStar || math.Abs(distRes.Density-local.Density) > 1e-9 {
-		t.Fatalf("distributed (%v) != local (%v)", distRes, local)
-	}
-	if stats.Workers != 4 || stats.Supersteps == 0 || stats.ValuesSent == 0 {
-		t.Fatalf("stats: %+v", stats)
-	}
-}
-
-func TestSolveDDSDistributed(t *testing.T) {
-	base := dsd.GenerateChungLuDirected(1500, 9000, 3.0, 3.0, 31)
-	d, _, _ := dsd.PlantBiclique(base, 12, 18, 32)
-	local, _ := dsd.SolveDDS(d, dsd.AlgoPWC, dsd.Options{Workers: 2})
-	distRes, stats := dsd.SolveDDSDistributed(d, 4)
-	if int64(distRes.XStar)*int64(distRes.YStar) != int64(local.XStar)*int64(local.YStar) {
-		t.Fatalf("distributed cn-pair %d·%d != local %d·%d",
-			distRes.XStar, distRes.YStar, local.XStar, local.YStar)
-	}
-	if math.Abs(distRes.Density-local.Density) > 1e-9 {
-		t.Fatalf("distributed density %v != local %v", distRes.Density, local.Density)
-	}
-	if stats.Workers != 4 || stats.Supersteps == 0 {
-		t.Fatalf("stats: %+v", stats)
-	}
-}
-
 func TestCompressedGraphAPI(t *testing.T) {
 	g := dsd.GenerateChungLu(3000, 30000, 2.2, 33)
 	cg := dsd.Compress(g)

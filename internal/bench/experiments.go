@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"strconv"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kclique"
 	"repro/internal/solver"
+	"repro/internal/trace"
 	"repro/internal/truss"
 	"repro/internal/uds"
 )
@@ -53,7 +55,7 @@ func udsLineup() []udsAlgo {
 // ddsAlgo is one entry of the Exp-5 lineup.
 type ddsAlgo struct {
 	name string
-	run  func(d *graph.Directed, p int, budget time.Duration) dds.Result
+	run  func(d *graph.Directed, p int, budget time.Duration) solver.DirectedResult
 }
 
 // resolveDDS is resolveUDS's directed twin; the budget rides through to
@@ -65,13 +67,12 @@ func resolveDDS(names ...string) []ddsAlgo {
 		if !ok {
 			panic("bench: DDS algorithm not registered: " + n)
 		}
-		out = append(out, ddsAlgo{name: d.Display, run: func(g *graph.Directed, p int, budget time.Duration) dds.Result {
+		out = append(out, ddsAlgo{name: d.Display, run: func(g *graph.Directed, p int, budget time.Duration) solver.DirectedResult {
 			r, err := d.SolveDDS(nil, g, solver.Params{Workers: p, Budget: budget})
 			if err != nil {
 				panic("bench: " + d.Name + ": " + err.Error())
 			}
-			return dds.Result{Algorithm: r.Algorithm, S: r.S, T: r.T, Density: r.Density,
-				XStar: r.XStar, YStar: r.YStar, Iterations: r.Iterations, TimedOut: r.TimedOut}
+			return r
 		}})
 	}
 	return out
@@ -203,7 +204,7 @@ func Exp5(cfg Config) []Row {
 	for _, ds := range gen.DirectedCatalog() {
 		d := ds.BuildDirected(cfg.Scale)
 		for _, a := range ddsLineup() {
-			var res dds.Result
+			var res solver.DirectedResult
 			sec, allocs := timeAlloc(func() { res = a.run(d, cfg.Workers, cfg.Budget) })
 			rows = append(rows, Row{
 				Experiment: "exp5", Dataset: ds.Abbr, Algorithm: a.name,
@@ -222,17 +223,23 @@ func Exp6(cfg Config) []Row {
 	var rows []Row
 	for _, ds := range gen.DirectedCatalog() {
 		d := ds.BuildDirected(cfg.Scale)
-		res, stats := dds.PWCWithStats(d, cfg.Workers)
+		// PWC records the Table-7 arc counts as trace counters.
+		tr := &trace.Trace{}
+		res, err := dds.PWC(context.TODO(), d, solver.Params{Workers: cfg.Workers, Trace: tr})
+		if err != nil {
+			panic("bench: pwc: " + err.Error())
+		}
+		c := tr.Counters
 		rows = append(rows, Row{
 			Experiment: "exp6", Dataset: ds.Abbr, Algorithm: "PWC",
-			Density: res.Density, Iterations: stats.Levels,
+			Density: res.Density, Iterations: int(c["levels"]),
 			Extra: map[string]int64{
-				"PXY":    stats.ArcsInput,
-				"PWC1":   stats.ArcsAfterWarmStart,
-				"PWCw*":  stats.ArcsAtWStar,
-				"PWCD*":  stats.ArcsDensest,
-				"wstar":  stats.WStar,
-				"levels": int64(stats.Levels),
+				"PXY":    c["arcs_input"],
+				"PWC1":   c["arcs_after_warm_start"],
+				"PWCw*":  c["arcs_at_wstar"],
+				"PWCD*":  c["arcs_densest"],
+				"wstar":  c["wstar"],
+				"levels": c["levels"],
 			},
 		})
 	}
@@ -252,7 +259,7 @@ func Exp7(cfg Config) []Row {
 				if a.name != "PBD" && a.name != "PXY" && a.name != "PWC" {
 					continue
 				}
-				var res dds.Result
+				var res solver.DirectedResult
 				sec, allocs := timeAlloc(func() { res = a.run(d, p, cfg.Budget) })
 				rows = append(rows, Row{
 					Experiment: "exp7", Dataset: ds.Abbr, Algorithm: a.name,
@@ -279,7 +286,7 @@ func Exp8(cfg Config) []Row {
 				if a.name != "PBD" && a.name != "PXY" && a.name != "PWC" {
 					continue
 				}
-				var res dds.Result
+				var res solver.DirectedResult
 				sec, allocs := timeAlloc(func() { res = a.run(sub, cfg.Workers, cfg.Budget) })
 				rows = append(rows, Row{
 					Experiment: "exp8", Dataset: ds.Abbr, Algorithm: a.name,
@@ -305,7 +312,7 @@ func Ratios(cfg Config) []Row {
 	// Undirected: ER body with a planted clique.
 	base := gen.ErdosRenyi(400, 1200, 31)
 	g, _ := gen.PlantClique(base, 14, 32)
-	opt := uds.Exact(g).Density
+	opt := exactUDS(g)
 	for _, d := range solver.List(solver.KindUDS) {
 		if d.Grade == solver.GradeExact {
 			continue
@@ -326,7 +333,10 @@ func Ratios(cfg Config) []Row {
 	// min-cut binary search each — n=80 keeps the oracle under a second.
 	dbase := gen.ErdosRenyiDirected(80, 320, 33)
 	d, _, _ := gen.PlantBiclique(dbase, 7, 10, 34)
-	dopt := dds.Exact(d).Density
+	dopt, err := dds.Exact(context.TODO(), d, solver.Params{})
+	if err != nil {
+		panic("bench: exact: " + err.Error())
+	}
 	for _, desc := range solver.List(solver.KindDDS) {
 		if desc.Grade == solver.GradeExact {
 			continue
@@ -338,10 +348,20 @@ func Ratios(cfg Config) []Row {
 		rows = append(rows, Row{
 			Experiment: "ratios", Dataset: "biclique", Algorithm: desc.Display,
 			Density: res.Density, TimedOut: res.TimedOut,
-			Extra: map[string]int64{"ratio_x1000": int64(1000 * dopt / res.Density)},
+			Extra: map[string]int64{"ratio_x1000": int64(1000 * dopt.Density / res.Density)},
 		})
 	}
 	return rows
+}
+
+// exactUDS returns ρ*, the optimum the ratio and accuracy rows are judged
+// against.
+func exactUDS(g *graph.Undirected) float64 {
+	r, err := uds.Exact(context.TODO(), g, solver.Params{})
+	if err != nil {
+		panic("bench: exact: " + err.Error())
+	}
+	return r.Density
 }
 
 // Accuracy produces the accuracy-versus-time trajectories of the
@@ -355,7 +375,7 @@ func Accuracy(cfg Config) []Row {
 	cfg = cfg.withDefaults()
 	base := gen.ErdosRenyi(400, 1200, 31)
 	g, _ := gen.PlantClique(base, 14, 32)
-	opt := uds.Exact(g).Density
+	opt := exactUDS(g)
 	var rows []Row
 	for _, name := range []string{"fista", "fracpeel", "greedypp"} {
 		d, ok := solver.Lookup(solver.KindUDS, name)

@@ -1,6 +1,7 @@
 package dds
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,19 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/solver"
+	"repro/internal/trace"
 )
+
+// solve runs one of the package's solvers under a background context,
+// which never cancels, so an error is a test failure.
+func solve(f func(context.Context, *graph.Directed, solver.Params) (solver.DirectedResult, error), d *graph.Directed, p solver.Params) solver.DirectedResult {
+	r, err := f(context.Background(), d, p)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
 
 func randomDigraph(seed int64, maxN, mult int) *graph.Directed {
 	rng := rand.New(rand.NewSource(seed))
@@ -55,8 +68,8 @@ func fig4Graph() *graph.Directed {
 func TestExactMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDigraph(seed, 8, 3)
-		ex := Exact(d)
-		bf := BruteForce(d)
+		ex := solve(Exact, d, solver.Params{})
+		bf := solve(BruteForce, d, solver.Params{})
 		return math.Abs(ex.Density-bf.Density) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -69,7 +82,7 @@ func TestBruteForcePaperFig1b(t *testing.T) {
 	d := graph.NewDirected(6, []graph.Edge{
 		{U: 4, V: 2}, {U: 4, V: 3}, {U: 5, V: 2}, {U: 5, V: 3}, {U: 0, V: 1},
 	})
-	res := BruteForce(d)
+	res := solve(BruteForce, d, solver.Params{})
 	if math.Abs(res.Density-2.0) > 1e-9 {
 		t.Fatalf("density = %v, want 2.0", res.Density)
 	}
@@ -79,7 +92,7 @@ func TestExactPaperFig1b(t *testing.T) {
 	d := graph.NewDirected(6, []graph.Edge{
 		{U: 4, V: 2}, {U: 4, V: 3}, {U: 5, V: 2}, {U: 5, V: 3}, {U: 0, V: 1},
 	})
-	res := Exact(d)
+	res := solve(Exact, d, solver.Params{})
 	if math.Abs(res.Density-2.0) > 1e-9 {
 		t.Fatalf("density = %v, want 2.0", res.Density)
 	}
@@ -91,14 +104,14 @@ func TestBruteForceRejectsLarge(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	BruteForce(graph.NewDirected(14, nil))
+	solve(BruteForce, graph.NewDirected(14, nil), solver.Params{})
 }
 
 func TestExactEmpty(t *testing.T) {
-	if res := Exact(graph.NewDirected(0, nil)); res.Density != 0 {
+	if res := solve(Exact, graph.NewDirected(0, nil), solver.Params{}); res.Density != 0 {
 		t.Fatal("empty digraph")
 	}
-	if res := Exact(graph.NewDirected(4, nil)); res.Density != 0 {
+	if res := solve(Exact, graph.NewDirected(4, nil), solver.Params{}); res.Density != 0 {
 		t.Fatal("arcless digraph")
 	}
 }
@@ -302,7 +315,7 @@ func TestTheorem2(t *testing.T) {
 // --- PXY ---
 
 func TestPXYFig4(t *testing.T) {
-	res := PXY(fig4Graph(), 2)
+	res := solve(PXY, fig4Graph(), solver.Params{Workers: 2})
 	if int64(res.XStar)*int64(res.YStar) != 12 {
 		t.Fatalf("x*·y* = %d·%d, want product 12", res.XStar, res.YStar)
 	}
@@ -314,8 +327,8 @@ func TestPXYTwoApproximation(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PXY(d, 2)
+		opt := solve(BruteForce, d, solver.Params{}).Density
+		res := solve(PXY, d, solver.Params{Workers: 2})
 		return res.Density*2 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -324,7 +337,7 @@ func TestPXYTwoApproximation(t *testing.T) {
 }
 
 func TestPXYEmpty(t *testing.T) {
-	if res := PXY(graph.NewDirected(3, nil), 2); res.Density != 0 {
+	if res := solve(PXY, graph.NewDirected(3, nil), solver.Params{Workers: 2}); res.Density != 0 {
 		t.Fatal("arcless digraph")
 	}
 }
@@ -332,7 +345,7 @@ func TestPXYEmpty(t *testing.T) {
 // --- PWC ---
 
 func TestPWCFig4(t *testing.T) {
-	res := PWC(fig4Graph(), 2)
+	res := solve(PWC, fig4Graph(), solver.Params{Workers: 2})
 	if res.XStar != 4 || res.YStar != 3 {
 		t.Fatalf("[x*, y*] = [%d, %d], want [4, 3] (paper's Example 4)", res.XStar, res.YStar)
 	}
@@ -347,8 +360,8 @@ func TestPWCMatchesPXYProduct(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		pwc := PWC(d, 2)
-		pxy := PXY(d, 2)
+		pwc := solve(PWC, d, solver.Params{Workers: 2})
+		pxy := solve(PXY, d, solver.Params{Workers: 2})
 		return int64(pwc.XStar)*int64(pwc.YStar) == int64(pxy.XStar)*int64(pxy.YStar)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -362,8 +375,8 @@ func TestPWCTwoApproximation(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PWC(d, 2)
+		opt := solve(BruteForce, d, solver.Params{}).Density
+		res := solve(PWC, d, solver.Params{Workers: 2})
 		return res.Density*2 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -374,7 +387,7 @@ func TestPWCTwoApproximation(t *testing.T) {
 func TestPWCRecoversPlantedBiclique(t *testing.T) {
 	base := gen.ErdosRenyiDirected(2000, 8000, 20)
 	d, s, tt := gen.PlantBiclique(base, 25, 40, 21)
-	res := PWC(d, 4)
+	res := solve(PWC, d, solver.Params{Workers: 4})
 	want := d.DensityST(s, tt)
 	if res.Density < want/2 {
 		t.Fatalf("PWC density %v below half the planted %v", res.Density, want)
@@ -387,17 +400,19 @@ func TestPWCRecoversPlantedBiclique(t *testing.T) {
 func TestPWCStats(t *testing.T) {
 	base := gen.ErdosRenyiDirected(1000, 5000, 22)
 	d, _, _ := gen.PlantBiclique(base, 15, 20, 23)
-	res, stats := PWCWithStats(d, 2)
-	if stats.ArcsInput != d.M() {
-		t.Fatalf("input arcs = %d", stats.ArcsInput)
+	tr := &trace.Trace{}
+	res := solve(PWC, d, solver.Params{Workers: 2, Trace: tr})
+	c := tr.Counters
+	if c["arcs_input"] != d.M() {
+		t.Fatalf("input arcs = %d", c["arcs_input"])
 	}
-	if stats.ArcsAfterWarmStart >= stats.ArcsInput {
+	if c["arcs_after_warm_start"] >= c["arcs_input"] {
 		t.Fatal("warm start must shrink the graph")
 	}
-	if stats.ArcsAtWStar > stats.ArcsAfterWarmStart {
+	if c["arcs_at_wstar"] > c["arcs_after_warm_start"] {
 		t.Fatal("w*-subgraph cannot exceed the warm-start remainder")
 	}
-	if stats.ArcsDensest > stats.ArcsAtWStar {
+	if c["arcs_densest"] > c["arcs_at_wstar"] {
 		t.Fatal("densest core cannot exceed the w*-subgraph")
 	}
 	if res.Density <= 0 {
@@ -407,15 +422,15 @@ func TestPWCStats(t *testing.T) {
 
 func TestPWCParallelConsistent(t *testing.T) {
 	d := randomDigraph(77, 200, 6)
-	a := PWC(d, 1)
-	b := PWC(d, 8)
+	a := solve(PWC, d, solver.Params{Workers: 1})
+	b := solve(PWC, d, solver.Params{Workers: 8})
 	if int64(a.XStar)*int64(a.YStar) != int64(b.XStar)*int64(b.YStar) {
 		t.Fatalf("worker counts disagree: %d·%d vs %d·%d", a.XStar, a.YStar, b.XStar, b.YStar)
 	}
 }
 
 func TestPWCEmpty(t *testing.T) {
-	if res := PWC(graph.NewDirected(0, nil), 2); res.Density != 0 {
+	if res := solve(PWC, graph.NewDirected(0, nil), solver.Params{Workers: 2}); res.Density != 0 {
 		t.Fatal("empty digraph")
 	}
 }
@@ -428,8 +443,8 @@ func TestPBSNearExactOnTinyGraphs(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PBS(d, 2, 0)
+		opt := solve(BruteForce, d, solver.Params{}).Density
+		res := solve(PBS, d, solver.Params{Workers: 2})
 		return res.Density*2 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -439,7 +454,7 @@ func TestPBSNearExactOnTinyGraphs(t *testing.T) {
 
 func TestPBSTimesOut(t *testing.T) {
 	d := gen.ErdosRenyiDirected(3000, 20000, 24)
-	res := PBS(d, 2, 1) // 1ns budget: immediately out of time
+	res := solve(PBS, d, solver.Params{Workers: 2, Budget: 1}) // 1ns budget: immediately out of time
 	if !res.TimedOut {
 		t.Fatal("PBS must report a timeout under an impossible budget")
 	}
@@ -451,8 +466,8 @@ func TestPFKSWithinLooseBound(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PFKS(d, 2, 0)
+		opt := solve(BruteForce, d, solver.Params{}).Density
+		res := solve(PFKS, d, solver.Params{Workers: 2})
 		// PFKS's ratio grid is coarse: allow 3x.
 		return res.Density*3 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
@@ -467,8 +482,8 @@ func TestPBDWithinItsBound(t *testing.T) {
 		if d.M() == 0 {
 			return true
 		}
-		opt := BruteForce(d).Density
-		res := PBD(d, 2, 1, 2, 0)
+		opt := solve(BruteForce, d, solver.Params{}).Density
+		res := solve(PBD, d, solver.Params{Delta: 2, Epsilon: 1, Workers: 2})
 		// Guarantee is 2δ(1+ε) = 8.
 		return res.Density*8 >= opt-1e-9 && res.Density <= opt+1e-9
 	}
@@ -479,7 +494,7 @@ func TestPBDWithinItsBound(t *testing.T) {
 
 func TestPBDDefaultsApplied(t *testing.T) {
 	d := gen.ErdosRenyiDirected(200, 1000, 25)
-	res := PBD(d, 0, 0, 2, 0) // invalid params fall back to δ=2, ε=1
+	res := solve(PBD, d, solver.Params{Workers: 2}) // invalid params fall back to δ=2, ε=1
 	if res.Density <= 0 {
 		t.Fatal("PBD found nothing")
 	}
@@ -491,7 +506,7 @@ func TestPFWDirectedReasonable(t *testing.T) {
 	base := gen.ErdosRenyiDirected(300, 1000, 26)
 	d, s, tt := gen.PlantBiclique(base, 10, 14, 27)
 	want := d.DensityST(s, tt)
-	res := PFW(d, 150, 2, 0)
+	res := solve(PFW, d, solver.Params{Iterations: 150, Workers: 2})
 	if res.Density < want/2 {
 		t.Fatalf("PFW density %v below half the planted %v", res.Density, want)
 	}
@@ -499,7 +514,7 @@ func TestPFWDirectedReasonable(t *testing.T) {
 
 func TestPFWTimesOut(t *testing.T) {
 	d := gen.ErdosRenyiDirected(2000, 10000, 28)
-	res := PFW(d, 100000, 2, 1)
+	res := solve(PFW, d, solver.Params{Iterations: 100000, Workers: 2, Budget: 1})
 	if !res.TimedOut {
 		t.Fatal("PFW must time out under an impossible budget")
 	}
@@ -637,8 +652,8 @@ func inWInduced(d *graph.Directed, tails []int32, target int64, w int64) bool {
 func TestExactPrunedMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDigraph(seed, 20, 3)
-		a := Exact(d)
-		b := ExactPruned(d, 2)
+		a := solve(Exact, d, solver.Params{})
+		b := solve(ExactPruned, d, solver.Params{Workers: 2})
 		return math.Abs(a.Density-b.Density) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -651,7 +666,7 @@ func TestExactPrunedOnLargePlantedInstance(t *testing.T) {
 	// the ρ̃²/4 pruning collapses it to the planted block.
 	base := gen.ErdosRenyiDirected(2000, 8000, 40)
 	d, s, tt := gen.PlantBiclique(base, 12, 20, 41)
-	res := ExactPruned(d, 2)
+	res := solve(ExactPruned, d, solver.Params{Workers: 2})
 	planted := d.DensityST(s, tt)
 	if res.Density < planted-1e-9 {
 		t.Fatalf("exact-pruned density %v below the planted %v", res.Density, planted)
@@ -659,7 +674,7 @@ func TestExactPrunedOnLargePlantedInstance(t *testing.T) {
 }
 
 func TestExactPrunedEmpty(t *testing.T) {
-	res := ExactPruned(graph.NewDirected(3, nil), 2)
+	res := solve(ExactPruned, graph.NewDirected(3, nil), solver.Params{Workers: 2})
 	if res.Algorithm != "ExactPruned" || res.Density != 0 {
 		t.Fatalf("%+v", res)
 	}

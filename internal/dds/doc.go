@@ -11,6 +11,10 @@
 // w(u→v) = d⁺(u)·d⁻(v), the maximum induce-number w* satisfies w* = x*·y*,
 // so the densest pair's core lives inside the (much smaller) w*-induced
 // subgraph and one decomposition replaces PXY's enumeration over all (x, y)
-// candidates. WStarSubgraph is Algorithm 3; PWC (with its traced and
-// Table-7-instrumented variants) is Algorithm 4.
+// candidates. WStarSubgraph is Algorithm 3; PWC is Algorithm 4, and its
+// trace counters carry the paper's Table-7 arc counts.
+//
+// As in internal/uds, every solver is one exported function with the
+// registry's signature, func(ctx, d, solver.Params)
+// (solver.DirectedResult, error), registered directly in register.go.
 package dds

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/maxflow"
+	"repro/internal/solver"
 )
 
 // Exact solves the DDS problem exactly via the Charikar/Khuller–Saha
@@ -22,19 +23,14 @@ import (
 // Cost: O(n² log n) max-flows — an oracle for small graphs (n up to a few
 // hundred), matching its role in the paper (exact DDS solvers are
 // impractical at scale, which is why 2-approximations exist).
-func Exact(d *graph.Directed) Result {
-	r, _ := ExactCtx(nil, d)
-	return r
-}
-
-// ExactCtx is Exact under cooperative cancellation: ctx is polled between
-// candidate ratios, between the binary-search probes within a ratio, and
-// inside each min-cut, returning a wrapped cancel.ErrCanceled once it is
-// done. A nil ctx never cancels.
-func ExactCtx(ctx context.Context, d *graph.Directed) (Result, error) {
+//
+// ctx is polled between candidate ratios, between the binary-search probes
+// within a ratio, and inside each min-cut; a wrapped cancel.ErrCanceled is
+// returned once it is done. A nil ctx never cancels.
+func Exact(ctx context.Context, d *graph.Directed, _ solver.Params) (solver.DirectedResult, error) {
 	n := d.N()
 	if n == 0 || d.M() == 0 {
-		return Result{Algorithm: "Exact"}, nil
+		return solver.DirectedResult{Algorithm: "Exact"}, nil
 	}
 	arcs := d.Arcs()
 	ratios := map[float64]struct{}{}
@@ -43,11 +39,11 @@ func ExactCtx(ctx context.Context, d *graph.Directed) (Result, error) {
 			ratios[float64(a)/float64(b)] = struct{}{}
 		}
 	}
-	best := Result{Algorithm: "Exact", Density: -1}
+	best := solver.DirectedResult{Algorithm: "Exact", Density: -1}
 	for c := range ratios {
 		s, t, density, err := exactForRatio(ctx, d, arcs, c)
 		if err != nil {
-			return Result{}, err
+			return solver.DirectedResult{}, err
 		}
 		if density > best.Density {
 			best.S, best.T, best.Density = s, t, density
@@ -139,11 +135,15 @@ func ratioDenserThan(ctx context.Context, d *graph.Directed, arcs []graph.Edge, 
 
 // BruteForce enumerates every (S, T) pair of non-empty vertex subsets with
 // bitmask adjacency — the oracle for Exact. It panics above 13 vertices
-// (4^13 ≈ 67M pair evaluations is the practical ceiling).
-func BruteForce(d *graph.Directed) Result {
+// (4^13 ≈ 67M pair evaluations is the practical ceiling). It has no loop
+// worth polling, so ctx is checked once on entry.
+func BruteForce(ctx context.Context, d *graph.Directed, _ solver.Params) (solver.DirectedResult, error) {
+	if err := cancel.Check(ctx); err != nil {
+		return solver.DirectedResult{}, err
+	}
 	n := d.N()
 	if n == 0 {
-		return Result{Algorithm: "BruteForce"}
+		return solver.DirectedResult{Algorithm: "BruteForce"}, nil
 	}
 	if n > 13 {
 		panic("dds: BruteForce beyond 13 vertices")
@@ -154,7 +154,7 @@ func BruteForce(d *graph.Directed) Result {
 			outMask[u] |= 1 << uint(v)
 		}
 	}
-	best := Result{Algorithm: "BruteForce", Density: -1}
+	best := solver.DirectedResult{Algorithm: "BruteForce", Density: -1}
 	var bestSMask, bestTMask uint32
 	for sm := uint32(1); sm < 1<<n; sm++ {
 		sizeS := bits.OnesCount32(sm)
@@ -183,7 +183,7 @@ func BruteForce(d *graph.Directed) Result {
 	}
 	if best.Density < 0 {
 		best.Density = 0
-		return best
+		return best, nil
 	}
 	for v := 0; v < n; v++ {
 		if bestSMask&(1<<uint(v)) != 0 {
@@ -193,7 +193,7 @@ func BruteForce(d *graph.Directed) Result {
 			best.T = append(best.T, int32(v))
 		}
 	}
-	return best
+	return best, nil
 }
 
 // ExactPruned is the core-pruned exact DDS solver in the spirit of Ma et
@@ -206,26 +206,21 @@ func BruteForce(d *graph.Directed) Result {
 // ⌈ρ̃²/4⌉-induced subgraph. One arc peel shrinks the instance to that
 // subgraph (typically a few hundred arcs on skewed graphs), and the full
 // ratio-enumeration flow search runs on the remnant, putting exact answers
-// within reach on graphs far beyond Exact's.
-func ExactPruned(d *graph.Directed, p int) Result {
-	r, _ := ExactPrunedCtx(nil, d, p)
-	return r
-}
-
-// ExactPrunedCtx is ExactPruned with the same cancellation contract as
-// ExactCtx.
-func ExactPrunedCtx(ctx context.Context, d *graph.Directed, p int) (Result, error) {
+// within reach on graphs far beyond Exact's. The cancellation contract is
+// Exact's.
+func ExactPruned(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 	if d.M() == 0 {
-		res, err := ExactCtx(ctx, d)
+		res, err := Exact(ctx, d, p)
 		res.Algorithm = "ExactPruned"
 		return res, err
 	}
-	if err := cancel.Check(ctx); err != nil {
-		return Result{}, err
+	// The lower bound runs untraced: this solver records no trace rows.
+	approx, err := PWC(ctx, d, solver.Params{Workers: p.Workers})
+	if err != nil {
+		return solver.DirectedResult{}, err
 	}
-	approx := PWC(d, p)
 	if approx.Density <= 0 {
-		res, err := ExactCtx(ctx, d)
+		res, err := Exact(ctx, d, p)
 		res.Algorithm = "ExactPruned"
 		return res, err
 	}
@@ -233,13 +228,13 @@ func ExactPrunedCtx(ctx context.Context, d *graph.Directed, p int) (Result, erro
 	if w0 < 1 {
 		w0 = 1
 	}
-	st := newWState(d, p)
-	st.peelLevel(w0-1, nil, p)
-	st.refreshActive(p)
+	st := newWState(d, p.Workers)
+	st.peelLevel(w0-1, nil, p.Workers)
+	st.refreshActive(p.Workers)
 	sub, orig := induceFromArcs(d, st.snapshotArcs())
-	res, err := ExactCtx(ctx, sub)
+	res, err := Exact(ctx, sub, p)
 	if err != nil {
-		return Result{}, err
+		return solver.DirectedResult{}, err
 	}
 	s := mapBack(res.S, orig)
 	t := mapBack(res.T, orig)
@@ -251,7 +246,7 @@ func ExactPrunedCtx(ctx context.Context, d *graph.Directed, p int) (Result, erro
 	if density < approx.Density {
 		s, t, density = approx.S, approx.T, approx.Density
 	}
-	return Result{
+	return solver.DirectedResult{
 		Algorithm:  "ExactPruned",
 		S:          s,
 		T:          t,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 )
 
 // PBD is the directed batch-peeling algorithm of Bahmani, Kumar &
@@ -19,24 +20,18 @@ import (
 // side whose degree is at most (1+ε) times that side's average. The grid
 // coarseness and batch threshold buy O(log² n)-ish total rounds at the
 // cost of a 2δ(1+ε) approximation guarantee (=8 with the paper's δ=2,
-// ε=1). Parallelism is one ratio per claimed task.
-func PBD(d *graph.Directed, delta, eps float64, p int, budget time.Duration) Result {
-	r, _ := PBDCtx(nil, d, delta, eps, p, budget)
-	return r
-}
-
-// PBDCtx is PBD under cooperative cancellation: the sweep workers poll ctx
-// between claimed ratios. A budget expiry keeps the best-so-far answer
-// (TimedOut set); a ctx expiry abandons the run with a wrapped
-// cancel.ErrCanceled. A nil ctx never cancels.
-func PBDCtx(ctx context.Context, d *graph.Directed, delta, eps float64, p int, budget time.Duration) (Result, error) {
+// ε=1, the defaults of p.Delta and p.Epsilon). Parallelism is one ratio per
+// claimed task, and budget and cancellation behave as in PBS.
+func PBD(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 	n := d.N()
 	if n == 0 || d.M() == 0 {
-		return Result{Algorithm: "PBD"}, nil
+		return solver.DirectedResult{Algorithm: "PBD"}, nil
 	}
+	delta := p.Delta
 	if delta <= 1 {
 		delta = 2
 	}
+	eps := p.Epsilon
 	if eps <= 0 {
 		eps = 1
 	}
@@ -46,8 +41,8 @@ func PBDCtx(ctx context.Context, d *graph.Directed, delta, eps float64, p int, b
 		ratios = append(ratios, math.Pow(delta, float64(i)))
 	}
 	deadline := time.Time{}
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
+	if p.Budget > 0 {
+		deadline = time.Now().Add(p.Budget)
 	}
 	var mu sync.Mutex
 	best := peelOutcome{density: -1}
@@ -55,7 +50,7 @@ func PBDCtx(ctx context.Context, d *graph.Directed, delta, eps float64, p int, b
 	var timedOut atomic.Bool
 	var canceled atomic.Bool
 	var next atomic.Int64
-	parallel.Workers(p, func(int) {
+	parallel.Workers(p.Workers, func(int) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(ratios) {
@@ -79,9 +74,9 @@ func PBDCtx(ctx context.Context, d *graph.Directed, delta, eps float64, p int, b
 		}
 	})
 	if canceled.Load() {
-		return Result{}, cancel.Check(ctx)
+		return solver.DirectedResult{}, cancel.Check(ctx)
 	}
-	return Result{
+	return solver.DirectedResult{
 		Algorithm:  "PBD",
 		S:          best.s,
 		T:          best.t,

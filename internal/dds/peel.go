@@ -11,6 +11,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 )
 
 // This file implements the ratio-sweep peeling baselines PBS and PFKS. Both
@@ -205,28 +206,23 @@ func ratioSweep(ctx context.Context, d *graph.Directed, ratios []float64, p int,
 // PBS is the parallelized Charikar 2-approximation: the full O(n²) ratio
 // sweep over all a/b pairs, one peel per thread-claimed candidate, with
 // the pairs enumerated lazily — materializing n² candidates up front would
-// dwarf the peeling cost itself on large n. Budget > 0 imposes a deadline
-// (the paper uses 10⁵ seconds); a Result with TimedOut set reports how far
-// the sweep got.
-func PBS(d *graph.Directed, p int, budget time.Duration) Result {
-	r, _ := PBSCtx(nil, d, p, budget)
-	return r
-}
-
-// PBSCtx is PBS under cooperative cancellation: the sweep workers poll ctx
-// between claimed ratios. A budget expiry keeps the best-so-far answer
-// (TimedOut set); a ctx expiry abandons the run with a wrapped
-// cancel.ErrCanceled. A nil ctx never cancels.
-func PBSCtx(ctx context.Context, d *graph.Directed, p int, budget time.Duration) (Result, error) {
+// dwarf the peeling cost itself on large n. p.Budget > 0 imposes a
+// deadline (the paper uses 10⁵ seconds); a result with TimedOut set reports
+// how far the sweep got.
+//
+// The sweep workers poll ctx between claimed ratios. A budget expiry keeps
+// the best-so-far answer (TimedOut set); a ctx expiry abandons the run with
+// a wrapped cancel.ErrCanceled. A nil ctx never cancels.
+func PBS(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 	n := d.N()
 	if n == 0 || d.M() == 0 {
-		return Result{Algorithm: "PBS"}, nil
+		return solver.DirectedResult{Algorithm: "PBS"}, nil
 	}
-	best, doneCount, timedOut, err := ratioSweepLazy(ctx, d, n, p, budget)
+	best, doneCount, timedOut, err := ratioSweepLazy(ctx, d, n, p.Workers, p.Budget)
 	if err != nil {
-		return Result{}, err
+		return solver.DirectedResult{}, err
 	}
-	return Result{
+	return solver.DirectedResult{
 		Algorithm:  "PBS",
 		S:          best.s,
 		T:          best.t,
@@ -239,24 +235,18 @@ func PBSCtx(ctx context.Context, d *graph.Directed, p int, budget time.Duration)
 // PFKS is the fixed Khuller–Saha linear-per-pass baseline: n geometrically
 // spaced ratio candidates covering [1/n, n] (the coarser grid is why its
 // approximation ratio exceeds 2), peeled in parallel under the same budget
-// regime as PBS.
-func PFKS(d *graph.Directed, p int, budget time.Duration) Result {
-	r, _ := PFKSCtx(nil, d, p, budget)
-	return r
-}
-
-// PFKSCtx is PFKS with the same cancellation contract as PBSCtx.
-func PFKSCtx(ctx context.Context, d *graph.Directed, p int, budget time.Duration) (Result, error) {
+// regime and cancellation contract as PBS.
+func PFKS(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 	n := d.N()
 	if n == 0 || d.M() == 0 {
-		return Result{Algorithm: "PFKS"}, nil
+		return solver.DirectedResult{Algorithm: "PFKS"}, nil
 	}
 	ratios := geometricRatios(n, n)
-	best, doneCount, timedOut, err := ratioSweep(ctx, d, ratios, p, budget)
+	best, doneCount, timedOut, err := ratioSweep(ctx, d, ratios, p.Workers, p.Budget)
 	if err != nil {
-		return Result{}, err
+		return solver.DirectedResult{}, err
 	}
-	return Result{
+	return solver.DirectedResult{
 		Algorithm:  "PFKS",
 		S:          best.s,
 		T:          best.t,

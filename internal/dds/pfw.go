@@ -8,10 +8,11 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 )
 
 // DefaultPFWIterations is the directed Frank–Wolfe iteration budget when
-// the caller passes iters <= 0. Each iteration is a full O(m) pass; the
+// Params.Iterations is <= 0. Each iteration is a full O(m) pass; the
 // large constant is what puts PFW orders of magnitude behind PWC in Exp-5.
 const DefaultPFWIterations = 100
 
@@ -28,27 +29,24 @@ const DefaultPFWIterations = 100
 // (Substitution note: the paper's PFW cites Su & Vu's distributed dual
 // algorithm; this shared-memory reformulation keeps the same convex
 // objective, per-iteration cost, and qualitative convergence behaviour.)
-func PFW(d *graph.Directed, iters, p int, budget time.Duration) Result {
-	r, _ := PFWCtx(nil, d, iters, p, budget)
-	return r
-}
-
-// PFWCtx is PFW under cooperative cancellation: ctx is polled once per
-// Frank–Wolfe sweep alongside the budget deadline. A budget expiry keeps
-// the best-so-far answer (TimedOut set); a ctx expiry abandons the run with
-// a wrapped cancel.ErrCanceled. A nil ctx never cancels.
-func PFWCtx(ctx context.Context, d *graph.Directed, iters, p int, budget time.Duration) (Result, error) {
+//
+// ctx is polled once per Frank–Wolfe sweep alongside the p.Budget
+// deadline. A budget expiry keeps the best-so-far answer (TimedOut set); a
+// ctx expiry abandons the run with a wrapped cancel.ErrCanceled. A nil ctx
+// never cancels.
+func PFW(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 	n := d.N()
 	m := int(d.M())
 	if n == 0 || m == 0 {
-		return Result{Algorithm: "PFW"}, nil
+		return solver.DirectedResult{Algorithm: "PFW"}, nil
 	}
+	iters := p.Iterations
 	if iters <= 0 {
 		iters = DefaultPFWIterations
 	}
 	deadline := time.Time{}
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
+	if p.Budget > 0 {
+		deadline = time.Now().Add(p.Budget)
 	}
 	arcs := d.Arcs()
 	alpha := make([]float64, m) // load share on the tail's S-role
@@ -58,7 +56,7 @@ func PFWCtx(ctx context.Context, d *graph.Directed, iters, p int, budget time.Du
 		alpha[i] = 0.5
 	}
 	recompute := func() {
-		workers := parallel.Threads(p)
+		workers := parallel.Threads(p.Workers)
 		partS := make([][]float64, workers)
 		partT := make([][]float64, workers)
 		parallel.Workers(workers, func(w int) {
@@ -72,7 +70,7 @@ func PFWCtx(ctx context.Context, d *graph.Directed, iters, p int, budget time.Du
 			partS[w] = ls
 			partT[w] = lt
 		})
-		parallel.For(n, p, func(v int) {
+		parallel.For(n, p.Workers, func(v int) {
 			var s, t float64
 			for w := 0; w < workers; w++ {
 				s += partS[w][v]
@@ -87,14 +85,14 @@ func PFWCtx(ctx context.Context, d *graph.Directed, iters, p int, budget time.Du
 	timedOut := false
 	for t := 0; t < iters; t++ {
 		if err := cancel.Check(ctx); err != nil {
-			return Result{}, err
+			return solver.DirectedResult{}, err
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			timedOut = true
 			break
 		}
 		gamma := 2.0 / float64(t+2)
-		parallel.For(m, p, func(i int) {
+		parallel.For(m, p.Workers, func(i int) {
 			a := arcs[i]
 			var target float64
 			switch {
@@ -112,7 +110,7 @@ func PFWCtx(ctx context.Context, d *graph.Directed, iters, p int, budget time.Du
 	}
 
 	s, t, density := thresholdExtract(d, rS, rT)
-	return Result{
+	return solver.DirectedResult{
 		Algorithm:  "PFW",
 		S:          s,
 		T:          t,

@@ -1,12 +1,15 @@
 package dds
 
 import (
+	"context"
 	"math"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 )
 
 // PXY is the parallelized Core-Approx of Ma et al. (the paper's
@@ -25,10 +28,13 @@ import (
 // candidates, so big x values finish immediately while x=1 pays a full
 // decomposition; the dynamic assignment here mitigates but cannot remove
 // the critical path.
-func PXY(d *graph.Directed, p int) Result {
+func PXY(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
+	if err := cancel.Check(ctx); err != nil {
+		return solver.DirectedResult{}, err
+	}
 	m := d.M()
 	if m == 0 {
-		return Result{Algorithm: "PXY"}
+		return solver.DirectedResult{Algorithm: "PXY"}, nil
 	}
 	limit := int32(math.Sqrt(float64(m)))
 	if limit < 1 {
@@ -41,7 +47,7 @@ func PXY(d *graph.Directed, p int) Result {
 	var bestX, bestY int32
 	rev := d.Reverse()
 	var nextCandidate atomic.Int64
-	parallel.Workers(p, func(int) {
+	parallel.Workers(p.Workers, func(int) {
 		for {
 			i := int(nextCandidate.Add(1)) - 1
 			if i >= total {
@@ -69,10 +75,10 @@ func PXY(d *graph.Directed, p int) Result {
 		}
 	})
 	if bestProduct.Load() == 0 {
-		return Result{Algorithm: "PXY"}
+		return solver.DirectedResult{Algorithm: "PXY"}, nil
 	}
 	s, t := XYCore(d, bestX, bestY)
-	return Result{
+	return solver.DirectedResult{
 		Algorithm:  "PXY",
 		S:          s,
 		T:          t,
@@ -80,5 +86,5 @@ func PXY(d *graph.Directed, p int) Result {
 		XStar:      bestX,
 		YStar:      bestY,
 		Iterations: total,
-	}
+	}, nil
 }

@@ -1,25 +1,6 @@
 package dds
 
-import (
-	"context"
-
-	"repro/internal/graph"
-	"repro/internal/solver"
-)
-
-// toSolver crosses the registration boundary; see the uds twin.
-func toSolver(r Result) solver.DirectedResult {
-	return solver.DirectedResult{
-		Algorithm:  r.Algorithm,
-		S:          r.S,
-		T:          r.T,
-		Density:    r.Density,
-		XStar:      r.XStar,
-		YStar:      r.YStar,
-		Iterations: r.Iterations,
-		TimedOut:   r.TimedOut,
-	}
-}
+import "repro/internal/solver"
 
 // The DDS lineup registers itself at init time: the paper's Exp-5
 // algorithms plus the exact solvers. Order here is the presentation order
@@ -33,9 +14,7 @@ func init() {
 		TraceColumns: []string{"phases", "counters"},
 		Default:      true, DegradeRank: 1,
 		CLI: true, Server: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			return toSolver(PWCTraced(d, p.Workers, p.Trace)), nil
-		},
+		SolveDDS: PWC,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pxy", Kind: solver.KindDDS, Display: "PXY",
@@ -43,9 +22,7 @@ func init() {
 		Guarantee: "2-approximation via [x, y]-core enumeration",
 		Paper:     "Ma et al. Core-Approx (baseline of the reproduced paper's Exp-5)",
 		CLI:       true, Server: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			return toSolver(PXY(d, p.Workers)), nil
-		},
+		SolveDDS: PXY,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pbs", Kind: solver.KindDDS, Display: "PBS",
@@ -54,10 +31,7 @@ func init() {
 		Paper:     "Charikar directed sweep (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
 		CLI:       true, Server: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := PBSCtx(ctx, d, p.Workers, p.Budget)
-			return toSolver(r), err
-		},
+		SolveDDS: PBS,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pfks", Kind: solver.KindDDS, Display: "PFKS",
@@ -66,10 +40,7 @@ func init() {
 		Paper:     "Khuller–Saha, fixed (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
 		CLI:       true, Server: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := PFKSCtx(ctx, d, p.Workers, p.Budget)
-			return toSolver(r), err
-		},
+		SolveDDS: PFKS,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pbd", Kind: solver.KindDDS, Display: "PBD",
@@ -78,10 +49,7 @@ func init() {
 		Paper:     "Bahmani et al., directed (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
 		CLI:       true, Server: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := PBDCtx(ctx, d, p.Delta, p.Epsilon, p.Workers, p.Budget)
-			return toSolver(r), err
-		},
+		SolveDDS: PBD,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pfw", Kind: solver.KindDDS, Display: "PFW",
@@ -90,10 +58,7 @@ func init() {
 		Paper:     "Danisch–Chan–Sozio, directed (baseline of the reproduced paper's Exp-5)",
 		Budgeted:  true,
 		CLI:       true, Server: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := PFWCtx(ctx, d, p.Iterations, p.Workers, p.Budget)
-			return toSolver(r), err
-		},
+		SolveDDS: PFW,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact", Kind: solver.KindDDS, Display: "Exact",
@@ -102,10 +67,7 @@ func init() {
 		Paper:     "Khuller–Saha flow formulation; the reproduced paper's exactness baseline",
 		Serial:    true, Degradable: true,
 		CLI: true, Server: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := ExactCtx(ctx, d)
-			return toSolver(r), err
-		},
+		SolveDDS: Exact,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact-pruned", Kind: solver.KindDDS, Display: "Exact-Pruned",
@@ -114,10 +76,7 @@ func init() {
 		Paper:      "core-pruned variant of the Khuller–Saha flow search",
 		Degradable: true,
 		CLI:        true, Server: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			r, err := ExactPrunedCtx(ctx, d, p.Workers)
-			return toSolver(r), err
-		},
+		SolveDDS: ExactPruned,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "brute", Kind: solver.KindDDS, Display: "Brute",
@@ -126,8 +85,6 @@ func init() {
 		Paper:     "test oracle; Definition 4 evaluated directly",
 		Serial:    true, Degradable: true,
 		CLI: true, Server: true,
-		SolveDDS: func(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
-			return toSolver(BruteForce(d)), nil
-		},
+		SolveDDS: BruteForce,
 	})
 }

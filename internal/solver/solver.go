@@ -32,11 +32,13 @@ const (
 	GradeHeuristic Grade = "heuristic" // no proven ratio
 )
 
-// Params is the solver-facing slice of dsd.Options. It exists so the
+// Params is the solver-facing slice of dsd.Options, and the one options
+// argument of every registered solve function. It exists so the
 // implementing packages (internal/uds, internal/dds) can register
 // themselves without importing the public package — the dispatch layer
 // converts. Field semantics match dsd.Options exactly; Budget arrives
-// already tightened by any context deadline.
+// already tightened by any context deadline, and a nil Trace means
+// untraced.
 type Params struct {
 	Workers    int
 	Epsilon    float64
@@ -46,24 +48,39 @@ type Params struct {
 	Trace      *trace.Trace
 }
 
-// Result mirrors uds.Result across the registration boundary.
+// Result is a solved UDS instance: the one result type of the family,
+// returned by every registered solver and re-exported as dsd.Result.
 type Result struct {
 	Algorithm  string
-	Vertices   []int32
-	Density    float64
-	Iterations int
-	KStar      int32
+	Vertices   []int32 // the returned vertex set S
+	Density    float64 // |E(S)|/|S|
+	KStar      int32   // k* when the algorithm is core-based, else 0
+	Iterations int     // solver-specific: sweeps, peel rounds, FW steps or flow probes; 0 when not meaningful
 }
 
-// DirectedResult mirrors dds.Result across the registration boundary.
+func (r Result) String() string {
+	return fmt.Sprintf("%s: |S|=%d density=%.4f iters=%d", r.Algorithm, len(r.Vertices), r.Density, r.Iterations)
+}
+
+// DirectedResult is a solved DDS instance, re-exported as
+// dsd.DirectedResult.
 type DirectedResult struct {
 	Algorithm  string
-	S, T       []int32
-	Density    float64
-	XStar      int32
+	S, T       []int32 // the returned source and target sets
+	Density    float64 // |E(S,T)|/sqrt(|S|·|T|)
+	XStar      int32   // cn-pair of the returned core, when core-based
 	YStar      int32
 	Iterations int
-	TimedOut   bool
+	// TimedOut reports that a budgeted solver (PBS, PFKS, PBD, PFW) hit
+	// Params.Budget before exhausting its search; the result then holds
+	// the best answer found so far — mirroring the paper's 10⁵-second cap
+	// in Exp-5, under which PBS and PFKS never finish.
+	TimedOut bool
+}
+
+func (r DirectedResult) String() string {
+	return fmt.Sprintf("%s: |S|=%d |T|=%d density=%.4f [x*=%d y*=%d]",
+		r.Algorithm, len(r.S), len(r.T), r.Density, r.XStar, r.YStar)
 }
 
 // Descriptor declares one registered algorithm: everything the server,

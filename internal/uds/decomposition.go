@@ -1,7 +1,10 @@
 package uds
 
 import (
+	"context"
+
 	"repro/internal/graph"
+	"repro/internal/solver"
 )
 
 // DensityTier is one layer of the density-friendly decomposition.
@@ -27,7 +30,8 @@ func DensityFriendly(g *graph.Undirected, p int) []DensityTier {
 	// mapping from cur's ids back to g's ids (nil = identity).
 	var orig []int32
 	for cur.M() > 0 {
-		res := ExactPruned(cur, p)
+		// context.TODO never cancels, so the solve cannot fail.
+		res, _ := ExactPruned(context.TODO(), cur, solver.Params{Workers: p})
 		if len(res.Vertices) == 0 || res.Density <= 0 {
 			break
 		}

@@ -4,8 +4,12 @@
 // paper's Exp-1 lineup — Charikar's serial peeling, PBU (Bahmani batch
 // peeling), PFW (Frank–Wolfe), and the three k*-core routes Local, PKC and
 // PKMC (the paper's contribution, Algorithm 2 with the Theorem-1 early
-// stop). The *Traced entry points (PKMCTraced, LocalTraced, ExactTraced,
-// ExactPrunedTraced) run the same solvers with an internal/trace record
-// attached — phase timings, h-index iteration logs, pruning counters — and
-// are exactly their untraced counterparts when handed a nil trace.
+// stop).
+//
+// Every solver is one exported function with the registry's signature,
+// func(ctx, g, solver.Params) (solver.Result, error), registered directly
+// in register.go. Each takes its knobs from Params and polls ctx (or checks
+// it once on entry when it has no loop to poll). An armed Params.Trace
+// adds phase timings, h-index iteration logs and pruning counters; a nil
+// trace returns the same answer untraced.
 package uds

@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/maxflow"
-	"repro/internal/trace"
+	"repro/internal/solver"
 )
 
 // Exact solves the UDS problem exactly with Goldberg's flow construction:
@@ -23,22 +23,32 @@ import (
 // Cost: O(log n) max-flows on a network with n+2 nodes and n+m arcs —
 // practical up to ~10^5-edge graphs, and the oracle every approximation
 // algorithm in this package is tested against.
-func Exact(g *graph.Undirected) Result {
-	r, _ := ExactCtx(nil, g)
-	return r
+//
+// The binary search polls ctx between min-cut probes (and inside each flow
+// computation, between blocking-flow phases) and returns a wrapped
+// cancel.ErrCanceled once ctx is done. A nil ctx never cancels. An armed
+// p.Trace times the search as one "flow-search" phase.
+func Exact(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
+	tr := p.Trace
+	tr.SetAlgorithm("Exact")
+	endFlow := tr.StartPhase("flow-search")
+	res, err := goldberg(ctx, g)
+	endFlow()
+	if err == nil {
+		tr.Counter("flow_probes", int64(res.Iterations))
+	}
+	return res, err
 }
 
-// ExactCtx is Exact under cooperative cancellation: the binary search polls
-// ctx between min-cut probes (and inside each flow computation, between
-// blocking-flow phases) and returns a wrapped cancel.ErrCanceled once ctx
-// is done. A nil ctx never cancels.
-func ExactCtx(ctx context.Context, g *graph.Undirected) (Result, error) {
+// goldberg is Exact's binary search without the trace, which ExactPruned
+// and ExactEpsilon reuse on their remnants and degenerate inputs.
+func goldberg(ctx context.Context, g *graph.Undirected) (solver.Result, error) {
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "Exact"}, nil
+		return solver.Result{Algorithm: "Exact"}, nil
 	}
 	if g.M() == 0 {
-		return Result{Algorithm: "Exact", Vertices: []int32{0}, Density: 0}, nil
+		return solver.Result{Algorithm: "Exact", Vertices: []int32{0}, Density: 0}, nil
 	}
 	edges := g.Edges()
 	degs := g.Degrees()
@@ -52,7 +62,7 @@ func ExactCtx(ctx context.Context, g *graph.Undirected) (Result, error) {
 		probes++
 		s, err := denserThan(ctx, n, edges, degs, mid)
 		if err != nil {
-			return Result{}, err
+			return solver.Result{}, err
 		}
 		if len(s) == 0 {
 			hi = mid
@@ -66,7 +76,7 @@ func ExactCtx(ctx context.Context, g *graph.Undirected) (Result, error) {
 		// densest single edge (density 1/2 is the minimum positive value).
 		best = []int32{edges[0].U, edges[0].V}
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "Exact",
 		Vertices:   best,
 		Density:    g.InducedDensity(best),
@@ -108,69 +118,31 @@ func denserThan(ctx context.Context, n int, edges []graph.Edge, degs []int32, th
 	return out, nil
 }
 
-// BruteForce solves UDS by enumerating all 2^n - 1 non-empty vertex
-// subsets. It is the test oracle for Exact and panics above 20 vertices.
-func BruteForce(g *graph.Undirected) Result {
-	n := g.N()
-	if n == 0 {
-		return Result{Algorithm: "BruteForce"}
-	}
-	if n > 20 {
-		panic("uds: BruteForce beyond 20 vertices")
-	}
-	var best []int32
-	bestDensity := -1.0
-	set := make([]int32, 0, n)
-	for mask := 1; mask < 1<<n; mask++ {
-		set = set[:0]
-		for v := 0; v < n; v++ {
-			if mask&(1<<v) != 0 {
-				set = append(set, int32(v))
-			}
-		}
-		if d := g.InducedDensity(set); d > bestDensity {
-			bestDensity = d
-			best = append([]int32(nil), set...)
-		}
-	}
-	return Result{Algorithm: "BruteForce", Vertices: best, Density: bestDensity}
-}
-
 // ExactPruned is the core-accelerated exact solver of Fang et al. (the
 // paper's [6]): the densest subgraph is contained in the ⌈ρ*⌉-core, and any
 // lower bound ρ̃ <= ρ* gives ⌈ρ̃⌉-core ⊇ ⌈ρ*⌉-core. It takes the k*-core
 // 2-approximation as ρ̃ (so ρ̃ >= ρ*/2 >= k*/2), prunes the graph to the
 // ⌈ρ̃⌉-core, and runs the Goldberg binary search there — typically orders
 // of magnitude fewer flow nodes than Exact on power-law graphs.
-func ExactPruned(g *graph.Undirected, p int) Result {
-	r, _ := ExactPrunedCtx(nil, g, p)
-	return r
-}
-
-// ExactPrunedCtx is ExactPruned with the same cancellation contract as
-// ExactCtx.
-func ExactPrunedCtx(ctx context.Context, g *graph.Undirected, p int) (Result, error) {
-	return ExactPrunedTraced(ctx, g, p, nil)
-}
-
-// ExactPrunedTraced is ExactPrunedCtx with the observability record: the
-// solve splits into the paper's natural phases — the PKMC lower bound
+//
+// It has Exact's cancellation contract. An armed p.Trace splits the solve
+// into the paper's natural phases — the PKMC lower bound
 // ("approx-lower-bound"), the full core decomposition that the pruning
 // needs ("core-decomposition"), the ⌈ρ̃⌉-core extraction ("prune"), and the
-// Goldberg flow binary search on the remnant ("flow-search") — each timed
-// into tr. A nil tr is exactly ExactPrunedCtx.
-func ExactPrunedTraced(ctx context.Context, g *graph.Undirected, p int, tr *trace.Trace) (Result, error) {
+// Goldberg flow binary search on the remnant ("flow-search").
+func ExactPruned(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
+	tr := p.Trace
 	tr.SetAlgorithm("ExactPruned")
 	if g.N() == 0 || g.M() == 0 {
-		res, err := ExactCtx(ctx, g)
+		res, err := goldberg(ctx, g)
 		res.Algorithm = "ExactPruned"
 		return res, err
 	}
 	if err := cancel.Check(ctx); err != nil {
-		return Result{}, err
+		return solver.Result{}, err
 	}
 	endApprox := tr.StartPhase("approx-lower-bound")
-	approx := core.PKMCWithOptions(g, p, core.PKMCOptions{Trace: tr})
+	approx := core.PKMCWithOptions(g, p.Workers, core.PKMCOptions{Trace: tr})
 	lower := g.InducedDensity(approx.Vertices) // ρ̃ <= ρ*
 	endApprox()
 	k := int32(lower)
@@ -180,7 +152,7 @@ func ExactPrunedTraced(ctx context.Context, g *graph.Undirected, p int, tr *trac
 	// The ⌈ρ̃⌉-core needs core numbers; the h-index decomposition gives
 	// them in parallel. (PKMC alone cannot: it skips non-k* vertices.)
 	endDecomp := tr.StartPhase("core-decomposition")
-	coreNum := core.Local(g, p).CoreNum
+	coreNum := core.Local(g, p.Workers).CoreNum
 	endDecomp()
 	endPrune := tr.StartPhase("prune")
 	keep := core.KCore(coreNum, k)
@@ -190,17 +162,17 @@ func ExactPrunedTraced(ctx context.Context, g *graph.Undirected, p int, tr *trac
 	tr.Counter("flow_vertices", int64(sub.N()))
 	tr.RaisePeak(int64(sub.N()))
 	endFlow := tr.StartPhase("flow-search")
-	res, err := ExactCtx(ctx, sub)
+	res, err := goldberg(ctx, sub)
 	endFlow()
 	if err != nil {
-		return Result{}, err
+		return solver.Result{}, err
 	}
 	tr.Counter("flow_probes", int64(res.Iterations))
 	mapped := make([]int32, len(res.Vertices))
 	for i, v := range res.Vertices {
 		mapped[i] = orig[v]
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "ExactPruned",
 		Vertices:   mapped,
 		Density:    g.InducedDensity(mapped),
@@ -215,28 +187,23 @@ func ExactPrunedTraced(ctx context.Context, g *graph.Undirected, p int, tr *trac
 // trading the last bits of precision for a O(log(1/ε)) probe count, the
 // trade-off behind the (1+ε) flow algorithms of the paper's related work
 // (Chekuri et al. [29]). With the PKMC lower bound seeding the interval,
-// a handful of min-cuts suffice.
-func ExactEpsilon(g *graph.Undirected, eps float64, p int) Result {
-	r, _ := ExactEpsilonCtx(nil, g, eps, p)
-	return r
-}
-
-// ExactEpsilonCtx is ExactEpsilon with the same cancellation contract as
-// ExactCtx.
-func ExactEpsilonCtx(ctx context.Context, g *graph.Undirected, eps float64, p int) (Result, error) {
+// a handful of min-cuts suffice. ε is p.Epsilon (default 0.1), and the
+// cancellation contract is Exact's.
+func ExactEpsilon(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 	n := g.N()
 	if n == 0 || g.M() == 0 {
-		res, err := ExactCtx(ctx, g)
+		res, err := goldberg(ctx, g)
 		res.Algorithm = "ExactEpsilon"
 		return res, err
 	}
+	eps := p.Epsilon
 	if eps <= 0 {
 		eps = 0.1
 	}
 	if err := cancel.Check(ctx); err != nil {
-		return Result{}, err
+		return solver.Result{}, err
 	}
-	approx := core.PKMC(g, p)
+	approx := core.PKMC(g, p.Workers)
 	lower := g.InducedDensity(approx.Vertices)
 	edges := g.Edges()
 	degs := g.Degrees()
@@ -248,7 +215,7 @@ func ExactEpsilonCtx(ctx context.Context, g *graph.Undirected, eps float64, p in
 		probes++
 		s, err := denserThan(ctx, n, edges, degs, mid)
 		if err != nil {
-			return Result{}, err
+			return solver.Result{}, err
 		}
 		if len(s) > 0 {
 			lo = mid
@@ -257,7 +224,7 @@ func ExactEpsilonCtx(ctx context.Context, g *graph.Undirected, eps float64, p in
 			hi = mid
 		}
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "ExactEpsilon",
 		Vertices:   best,
 		Density:    g.InducedDensity(best),

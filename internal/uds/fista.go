@@ -6,30 +6,25 @@ import (
 
 	"repro/internal/cancel"
 	"repro/internal/graph"
-	"repro/internal/trace"
+	"repro/internal/solver"
 )
 
-// DefaultFISTAIterations is the gradient-iteration budget used when the
-// caller passes iters <= 0. FISTA's O(1/k²) rate reaches a small duality
+// DefaultFISTAIterations is the gradient-iteration budget used when
+// Params.Iterations is <= 0. FISTA's O(1/k²) rate reaches a small duality
 // gap on the benchmark graphs well inside this budget; the early stop
 // below usually fires first.
 const DefaultFISTAIterations = 200
 
 // DefaultFISTAEpsilon is the relative duality-gap early-stop threshold
-// used when the caller passes eps <= 0: iteration ends once
+// used when Params.Epsilon is <= 0: iteration ends once
 // dual - primal <= eps * primal, certifying a (1+eps)-approximation.
 const DefaultFISTAEpsilon = 0.01
 
 // FISTA solves UDS by accelerated projected gradient descent on the
 // edge-load splitting, following the Harb–Quanrud–Chekuri framing of
 // densest subgraph as minimizing the squared vertex loads Σ r(v)² over
-// fractional edge orientations. See FISTACtx.
-func FISTA(g *graph.Undirected, iters int, eps float64, p int) Result {
-	r, _ := FISTACtx(nil, g, iters, eps, p, nil)
-	return r
-}
-
-// FISTACtx runs FISTA under cooperative cancellation and optional tracing.
+// fractional edge orientations. ctx is polled once per iteration, and an
+// armed p.Trace records the phases and the per-iteration certificate.
 //
 // Each edge carries a split x[i] in [0,1] (the share assigned to its U
 // endpoint); the objective f(x) = Σ_v r(v)² is smooth with Lipschitz
@@ -48,22 +43,25 @@ func FISTA(g *graph.Undirected, iters int, eps float64, p int) Result {
 //
 // All working vectors live in a pooled gradScratch; the per-iteration
 // kernels are //dsd:hotpath and allocate nothing.
-func FISTACtx(ctx context.Context, g *graph.Undirected, iters int, eps float64, p int, tr *trace.Trace) (Result, error) {
+func FISTA(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
+	tr := p.Trace
 	tr.SetAlgorithm("FISTA")
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "FISTA"}, nil
+		return solver.Result{Algorithm: "FISTA"}, nil
 	}
+	iters := p.Iterations
 	if iters <= 0 {
 		iters = DefaultFISTAIterations
 	}
+	eps := p.Epsilon
 	if eps <= 0 {
 		eps = DefaultFISTAEpsilon
 	}
 	edges := g.Edges()
 	m := len(edges)
 	if m == 0 {
-		return Result{Algorithm: "FISTA", Vertices: []int32{0}}, nil
+		return solver.Result{Algorithm: "FISTA", Vertices: []int32{0}}, nil
 	}
 	var maxDeg int32
 	for v := 0; v < n; v++ {
@@ -72,7 +70,7 @@ func FISTACtx(ctx context.Context, g *graph.Undirected, iters int, eps float64, 
 		}
 	}
 
-	s := getGradScratch(edges, n, p)
+	s := getGradScratch(edges, n, p.Workers)
 	defer s.release()
 	s.step = 1.0 / (4.0 * float64(maxDeg))
 	for i := range s.x {
@@ -87,7 +85,7 @@ func FISTACtx(ctx context.Context, g *graph.Undirected, iters int, eps float64, 
 	for k := 0; k < iters; k++ {
 		if err := cancel.Check(ctx); err != nil {
 			endIters()
-			return Result{}, err
+			return solver.Result{}, err
 		}
 		tMom = s.fistaIterate(tMom)
 		done = k + 1
@@ -117,7 +115,7 @@ func FISTACtx(ctx context.Context, g *graph.Undirected, iters int, eps float64, 
 	if density > bestLB {
 		bestSet = append(bestSet[:0], set...)
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "FISTA",
 		Vertices:   bestSet,
 		Density:    g.InducedDensity(bestSet),
@@ -127,37 +125,34 @@ func FISTACtx(ctx context.Context, g *graph.Undirected, iters int, eps float64, 
 
 // FracPeel solves UDS by running the Frank–Wolfe load sweeps of PFW and
 // rounding the resulting fractional orientation with true fractional
-// peeling instead of the prefix sweep. See FracPeelCtx.
-func FracPeel(g *graph.Undirected, iters, p int) Result {
-	r, _ := FracPeelCtx(nil, g, iters, p, nil)
-	return r
-}
-
-// FracPeelCtx is FracPeel under cooperative cancellation and optional
-// tracing. Frank–Wolfe produces edge shares alpha and vertex loads; the
-// fractional-peeling rounding then repeatedly deletes the vertex with the
-// smallest remaining load, crediting each deleted edge's share back to the
-// surviving endpoint, and returns the densest intermediate subgraph. The
-// rounding dominates the prefix sweep (it re-ranks vertices as loads drop),
-// so FracPeel's density is never below PFW's on the same load vector; the
-// answer returned is the better of the two roundings.
-func FracPeelCtx(ctx context.Context, g *graph.Undirected, iters, p int, tr *trace.Trace) (Result, error) {
+// peeling instead of the prefix sweep, under PFW's cancellation contract
+// and with optional tracing. Frank–Wolfe produces edge shares alpha and
+// vertex loads; the fractional-peeling rounding then repeatedly deletes the
+// vertex with the smallest remaining load, crediting each deleted edge's
+// share back to the surviving endpoint, and returns the densest
+// intermediate subgraph. The rounding dominates the prefix sweep (it
+// re-ranks vertices as loads drop), so FracPeel's density is never below
+// PFW's on the same load vector; the answer returned is the better of the
+// two roundings.
+func FracPeel(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
+	tr := p.Trace
 	tr.SetAlgorithm("FracPeel")
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "FracPeel"}, nil
+		return solver.Result{Algorithm: "FracPeel"}, nil
 	}
+	iters := p.Iterations
 	if iters <= 0 {
 		iters = DefaultPFWIterations
 	}
 	edges := g.Edges()
-	s := getGradScratch(edges, n, p)
+	s := getGradScratch(edges, n, p.Workers)
 	defer s.release()
 	endFW := tr.StartPhase("frank-wolfe")
 	err := s.frankWolfe(ctx, iters, tr)
 	endFW()
 	if err != nil {
-		return Result{}, err
+		return solver.Result{}, err
 	}
 	prefixView, prefixDensity := s.densestPrefix()
 	set := append([]int32(nil), prefixView...)
@@ -167,7 +162,7 @@ func FracPeelCtx(ctx context.Context, g *graph.Undirected, iters, p int, tr *tra
 	if density > prefixDensity {
 		set = append(set[:0], peelView...)
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "FracPeel",
 		Vertices:   set,
 		Density:    g.InducedDensity(set),

@@ -1,16 +1,20 @@
 package uds
 
 import (
+	"context"
 	"sync/atomic"
 
+	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/solver"
 )
 
 // PBU is the parallel batch-peeling 2(1+ε)-approximation of Bahmani,
 // Kumar & Vassilvitskii: each round removes *every* vertex whose current
 // degree is at most 2(1+ε) times the current average density, and the best
-// intermediate subgraph is returned. The paper runs ε = 0.5.
+// intermediate subgraph is returned. ε is p.Epsilon; the paper runs 0.5,
+// the default.
 //
 // The implementation is faithful to the streaming/MapReduce execution
 // model the algorithm was designed for: a round does not update degrees
@@ -18,11 +22,15 @@ import (
 // list, then materializes the next round's edge list — the per-round
 // synchronization and data-rewriting cost the paper's Exp-1 attributes
 // PBU's slowness to. Rounds are O(log n / log(1+ε)).
-func PBU(g *graph.Undirected, eps float64, p int) Result {
+func PBU(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
+	if err := cancel.Check(ctx); err != nil {
+		return solver.Result{}, err
+	}
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "PBU"}
+		return solver.Result{Algorithm: "PBU"}, nil
 	}
+	eps := p.Epsilon
 	if eps <= 0 {
 		eps = 0.5
 	}
@@ -44,11 +52,11 @@ func PBU(g *graph.Undirected, eps float64, p int) Result {
 		rounds++
 		// Pass 1 (map/reduce): recompute degrees from the edge stream.
 		degAtomic := make([]atomic.Int32, n)
-		parallel.For(len(edges), p, func(i int) {
+		parallel.For(len(edges), p.Workers, func(i int) {
 			degAtomic[edges[i].U].Add(1)
 			degAtomic[edges[i].V].Add(1)
 		})
-		parallel.For(n, p, func(v int) {
+		parallel.For(n, p.Workers, func(v int) {
 			deg[v] = degAtomic[v].Load()
 		})
 		density := float64(len(edges)) / float64(aliveCount)
@@ -83,10 +91,10 @@ func PBU(g *graph.Undirected, eps float64, p int) Result {
 		}
 		edges = next
 	}
-	return Result{
+	return solver.Result{
 		Algorithm:  "PBU",
 		Vertices:   best,
 		Density:    g.InducedDensity(best),
 		Iterations: rounds,
-	}
+	}, nil
 }

@@ -4,10 +4,11 @@ import (
 	"context"
 
 	"repro/internal/graph"
+	"repro/internal/solver"
 )
 
-// DefaultPFWIterations is the Frank–Wolfe iteration budget used when the
-// caller passes iters <= 0. Danisch et al. need O(Δ/ε²)-ish iterations for
+// DefaultPFWIterations is the Frank–Wolfe iteration budget used when
+// Params.Iterations is <= 0. Danisch et al. need O(Δ/ε²)-ish iterations for
 // a certified (1+ε) bound; 100 sweeps reproduces the paper's setting (ε=1)
 // on the benchmark graphs while exposing PFW's characteristic ~two orders
 // of magnitude gap to PKMC (each sweep is a full O(m) pass).
@@ -20,34 +21,30 @@ const DefaultPFWIterations = 100
 // its currently lighter endpoint with the standard 2/(t+2) step size. The
 // dense subgraph is extracted by sweeping vertices in decreasing load order
 // and keeping the densest prefix ("fractional peeling").
-func PFW(g *graph.Undirected, iters, p int) Result {
-	r, _ := PFWCtx(nil, g, iters, p)
-	return r
-}
-
-// PFWCtx is PFW under cooperative cancellation: ctx is polled once per
-// Frank–Wolfe sweep (each sweep is a full O(m) pass) and a wrapped
-// cancel.ErrCanceled is returned once it is done. A nil ctx never cancels.
 //
-// The sweeps and the rounding run on a pooled gradScratch (see scratch.go);
-// the per-sweep kernels are //dsd:hotpath and allocate nothing.
-func PFWCtx(ctx context.Context, g *graph.Undirected, iters, p int) (Result, error) {
+// ctx is polled once per Frank–Wolfe sweep (each sweep is a full O(m)
+// pass) and a wrapped cancel.ErrCanceled is returned once it is done. A nil
+// ctx never cancels. The sweeps and the rounding run on a pooled
+// gradScratch (see scratch.go); the per-sweep kernels are //dsd:hotpath and
+// allocate nothing.
+func PFW(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
 	n := g.N()
 	if n == 0 {
-		return Result{Algorithm: "PFW"}, nil
+		return solver.Result{Algorithm: "PFW"}, nil
 	}
+	iters := p.Iterations
 	if iters <= 0 {
 		iters = DefaultPFWIterations
 	}
 	edges := g.Edges()
-	s := getGradScratch(edges, n, p)
+	s := getGradScratch(edges, n, p.Workers)
 	defer s.release()
 	if err := s.frankWolfe(ctx, iters, nil); err != nil {
-		return Result{}, err
+		return solver.Result{}, err
 	}
 	view, _ := s.densestPrefix()
 	set := append([]int32(nil), view...)
-	return Result{
+	return solver.Result{
 		Algorithm:  "PFW",
 		Vertices:   set,
 		Density:    g.InducedDensity(set),

@@ -1,24 +1,6 @@
 package uds
 
-import (
-	"context"
-
-	"repro/internal/graph"
-	"repro/internal/solver"
-)
-
-// toSolver crosses the registration boundary: internal/solver defines its
-// own result struct so this package can register itself without importing
-// the public module root (which imports us).
-func toSolver(r Result) solver.Result {
-	return solver.Result{
-		Algorithm:  r.Algorithm,
-		Vertices:   r.Vertices,
-		Density:    r.Density,
-		Iterations: r.Iterations,
-		KStar:      r.KStar,
-	}
-}
+import "repro/internal/solver"
 
 // The UDS lineup registers itself at init time: the paper's Exp-1
 // algorithms, the exact solvers, and the convex-programming pair. Order
@@ -33,9 +15,7 @@ func init() {
 		TraceColumns: []string{"phases", "iterations"},
 		Default:      true, DegradeRank: 2,
 		CLI: true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(PKMCTraced(g, p.Workers, p.Trace)), nil
-		},
+		SolveUDS: PKMC,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "local", Kind: solver.KindUDS, Display: "Local",
@@ -44,9 +24,7 @@ func init() {
 		Paper:        "Sariyüce et al. (baseline of the reproduced paper's Exp-1)",
 		TraceColumns: []string{"phases", "iterations"},
 		CLI:          true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(LocalTraced(g, p.Workers, p.Trace)), nil
-		},
+		SolveUDS: Local,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pkc", Kind: solver.KindUDS, Display: "PKC",
@@ -54,9 +32,7 @@ func init() {
 		Guarantee: "2-approximation via parallel level peeling",
 		Paper:     "Kabir–Madduri (baseline of the reproduced paper's Exp-1)",
 		CLI:       true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(PKC(g, p.Workers)), nil
-		},
+		SolveUDS: PKC,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "bz", Kind: solver.KindUDS, Display: "BZ",
@@ -65,9 +41,7 @@ func init() {
 		Paper:     "Batagelj–Zaveršnik (baseline of the reproduced paper's Exp-1)",
 		Serial:    true,
 		CLI:       true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(BZ(g)), nil
-		},
+		SolveUDS: BZ,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "charikar", Kind: solver.KindUDS, Display: "Charikar",
@@ -76,9 +50,7 @@ func init() {
 		Paper:     "Charikar (APPROX 2000)",
 		Serial:    true,
 		CLI:       true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(Charikar(g)), nil
-		},
+		SolveUDS: Charikar,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "greedypp", Kind: solver.KindUDS, Display: "Greedy++",
@@ -87,10 +59,7 @@ func init() {
 		Paper:     "Boob et al. \"Flowless\" (WWW 2020)",
 		Serial:    true, DegradeRank: 1,
 		CLI: true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := GreedyPPCtx(ctx, g, p.Iterations)
-			return toSolver(r), err
-		},
+		SolveUDS: GreedyPP,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pbu", Kind: solver.KindUDS, Display: "PBU",
@@ -98,9 +67,7 @@ func init() {
 		Guarantee: "2(1+ε)-approximation via batch peeling (Options.Epsilon, default 0.5)",
 		Paper:     "Bahmani et al. (baseline of the reproduced paper's Exp-1)",
 		CLI:       true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			return toSolver(PBU(g, p.Epsilon, p.Workers)), nil
-		},
+		SolveUDS: PBU,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "pfw", Kind: solver.KindUDS, Display: "PFW",
@@ -108,10 +75,7 @@ func init() {
 		Guarantee: "(1+ε)-approximation as Frank–Wolfe sweeps grow (Options.Iterations, default 100)",
 		Paper:     "Danisch–Chan–Sozio (baseline of the reproduced paper's Exp-1)",
 		CLI:       true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := PFWCtx(ctx, g, p.Iterations, p.Workers)
-			return toSolver(r), err
-		},
+		SolveUDS: PFW,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "fista", Kind: solver.KindUDS, Display: "FISTA",
@@ -120,10 +84,7 @@ func init() {
 		Paper:        "Harb–Quanrud–Chekuri (NeurIPS 2022) accelerated-gradient framing",
 		TraceColumns: []string{"phases", "convergence", "counters"},
 		CLI:          true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := FISTACtx(ctx, g, p.Iterations, p.Epsilon, p.Workers, p.Trace)
-			return toSolver(r), err
-		},
+		SolveUDS: FISTA,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "fracpeel", Kind: solver.KindUDS, Display: "FracPeel",
@@ -132,10 +93,7 @@ func init() {
 		Paper:        "Danisch–Chan–Sozio loads + Harb et al. fractional-peeling rounding",
 		TraceColumns: []string{"phases", "convergence"},
 		CLI:          true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := FracPeelCtx(ctx, g, p.Iterations, p.Workers, p.Trace)
-			return toSolver(r), err
-		},
+		SolveUDS: FracPeel,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact", Kind: solver.KindUDS, Display: "Exact",
@@ -145,10 +103,7 @@ func init() {
 		TraceColumns: []string{"phases"},
 		Serial:       true, Degradable: true,
 		CLI: true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := ExactTraced(ctx, g, p.Trace)
-			return toSolver(r), err
-		},
+		SolveUDS: Exact,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact-pruned", Kind: solver.KindUDS, Display: "Exact-Pruned",
@@ -158,10 +113,7 @@ func init() {
 		TraceColumns: []string{"phases"},
 		Degradable:   true,
 		CLI:          true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := ExactPrunedTraced(ctx, g, p.Workers, p.Trace)
-			return toSolver(r), err
-		},
+		SolveUDS: ExactPruned,
 	})
 	solver.Register(solver.Descriptor{
 		Name: "exact-eps", Kind: solver.KindUDS, Display: "Exact-ε",
@@ -170,9 +122,6 @@ func init() {
 		Paper:      "Goldberg's search truncated at gap ε·ρ̃",
 		Degradable: true,
 		CLI:        true, Server: true,
-		SolveUDS: func(ctx context.Context, g *graph.Undirected, p solver.Params) (solver.Result, error) {
-			r, err := ExactEpsilonCtx(ctx, g, p.Epsilon, p.Workers)
-			return toSolver(r), err
-		},
+		SolveUDS: ExactEpsilon,
 	})
 }

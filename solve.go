@@ -110,25 +110,14 @@ type Options struct {
 	Trace *Trace
 }
 
-// Result is a solved UDS instance.
-type Result struct {
-	Algorithm  string
-	Vertices   []int32 // the returned vertex set S
-	Density    float64 // |E(S)|/|S|
-	KStar      int32   // k* when the algorithm is core-based, else 0
-	Iterations int
-}
+// Result is a solved UDS instance. It is the solver registry's own result
+// type, so an answer reaches the caller without a copy; see solver.Result
+// for the fields.
+type Result = solver.Result
 
-// DirectedResult is a solved DDS instance.
-type DirectedResult struct {
-	Algorithm  string
-	S, T       []int32 // the returned source and target sets
-	Density    float64 // |E(S,T)|/sqrt(|S|·|T|)
-	XStar      int32   // cn-pair when the algorithm is core-based
-	YStar      int32
-	Iterations int
-	TimedOut   bool // a budgeted baseline hit Options.Budget
-}
+// DirectedResult is a solved DDS instance, likewise the registry's own
+// type; see solver.DirectedResult.
+type DirectedResult = solver.DirectedResult
 
 // UDSAlgorithms lists the valid SolveUDS algorithm names, in the
 // registry's presentation order.
@@ -151,19 +140,6 @@ func algoNames(kind solver.Kind) []Algo {
 	return out
 }
 
-// params converts the public Options into the registry's solver-facing
-// parameter struct. budget arrives already tightened by any Ctx deadline.
-func params(opts Options, budget time.Duration) solver.Params {
-	return solver.Params{
-		Workers:    opts.Workers,
-		Epsilon:    opts.Epsilon,
-		Delta:      opts.Delta,
-		Iterations: opts.Iterations,
-		Budget:     budget,
-		Trace:      opts.Trace,
-	}
-}
-
 // SolveUDS runs the chosen undirected densest-subgraph algorithm. An empty
 // algo selects PKMC, the paper's contribution. Dispatch goes through the
 // solver registry (see Algorithms), so an unknown name returns an
@@ -173,51 +149,36 @@ func params(opts Options, budget time.Duration) solver.Params {
 // goroutines, which internal/parallel re-raises here) is recovered and
 // returned as a *PanicError wrapping ErrInternal — a solver bug degrades to
 // a failed call, not a dead process.
-func SolveUDS(g *Graph, algo Algo, opts Options) (res Result, err error) {
-	defer recoverToError(&err)
-	desc, ok := solver.Lookup(solver.KindUDS, string(algo))
-	if !ok {
-		return Result{}, unknownAlgorithm(ProblemUDS, algo)
-	}
-	ctx := opts.Ctx
-	if err := cancel.Check(ctx); err != nil {
-		return Result{}, err
-	}
-	tr := opts.Trace
-	if tr != nil {
-		// Arm the runtime counters and time the whole solve; traced
-		// solvers add their finer-grained phases inside.
-		finish := beginTrace(tr)
-		defer finish()
-	}
-	r, err := desc.SolveUDS(ctx, g.g, params(opts, opts.Budget))
-	if err != nil {
-		return Result{}, err
-	}
-	if tr != nil && tr.Algorithm == "" {
-		tr.SetAlgorithm(r.Algorithm)
-	}
-	return Result{
-		Algorithm:  r.Algorithm,
-		Vertices:   r.Vertices,
-		Density:    r.Density,
-		KStar:      r.KStar,
-		Iterations: r.Iterations,
-	}, nil
+func SolveUDS(g *Graph, algo Algo, opts Options) (Result, error) {
+	return solve(solver.KindUDS, algo, opts, func(ctx context.Context, desc solver.Descriptor, p solver.Params) (Result, string, error) {
+		r, err := desc.SolveUDS(ctx, g.g, p)
+		return r, r.Algorithm, err
+	})
 }
 
 // SolveDDS runs the chosen directed densest-subgraph algorithm. An empty
 // algo selects PWC, the paper's contribution. Unknown names and solver
 // panics surface exactly as in SolveUDS.
-func SolveDDS(d *Digraph, algo Algo, opts Options) (res DirectedResult, err error) {
+func SolveDDS(d *Digraph, algo Algo, opts Options) (DirectedResult, error) {
+	return solve(solver.KindDDS, algo, opts, func(ctx context.Context, desc solver.Descriptor, p solver.Params) (DirectedResult, string, error) {
+		r, err := desc.SolveDDS(ctx, d.d, p)
+		return r, r.Algorithm, err
+	})
+}
+
+// solve is the one dispatch body of both families: registry lookup, the
+// cancellation pre-check, budget tightening, trace arming and panic
+// recovery. run invokes the family's solve function and reports the
+// answer's algorithm name, which stamps a trace the solver left unnamed.
+func solve[R any](kind solver.Kind, algo Algo, opts Options, run func(context.Context, solver.Descriptor, solver.Params) (R, string, error)) (res R, err error) {
 	defer recoverToError(&err)
-	desc, ok := solver.Lookup(solver.KindDDS, string(algo))
+	desc, ok := solver.Lookup(kind, string(algo))
 	if !ok {
-		return DirectedResult{}, unknownAlgorithm(ProblemDDS, algo)
+		return res, unknownAlgorithm(Problem(kind), algo)
 	}
 	ctx := opts.Ctx
 	if err := cancel.Check(ctx); err != nil {
-		return DirectedResult{}, err
+		return res, err
 	}
 	// A request deadline bounds the budgeted baselines too: the sweep stops
 	// at whichever of Budget and the Ctx deadline comes first. Budget
@@ -233,26 +194,26 @@ func SolveDDS(d *Digraph, algo Algo, opts Options) (res DirectedResult, err erro
 	}
 	tr := opts.Trace
 	if tr != nil {
+		// Arm the runtime counters and time the whole solve; traced
+		// solvers add their finer-grained phases inside.
 		finish := beginTrace(tr)
 		defer finish()
 	}
-	r, err := desc.SolveDDS(ctx, d.d, params(opts, budget))
+	r, name, err := run(ctx, desc, solver.Params{
+		Workers:    opts.Workers,
+		Epsilon:    opts.Epsilon,
+		Delta:      opts.Delta,
+		Iterations: opts.Iterations,
+		Budget:     budget,
+		Trace:      tr,
+	})
 	if err != nil {
-		return DirectedResult{}, err
+		return res, err
 	}
 	if tr != nil && tr.Algorithm == "" {
-		tr.SetAlgorithm(r.Algorithm)
+		tr.SetAlgorithm(name)
 	}
-	return DirectedResult{
-		Algorithm:  r.Algorithm,
-		S:          r.S,
-		T:          r.T,
-		Density:    r.Density,
-		XStar:      r.XStar,
-		YStar:      r.YStar,
-		Iterations: r.Iterations,
-		TimedOut:   r.TimedOut,
-	}, nil
+	return r, nil
 }
 
 // CoreNumbers computes the core number of every vertex (parallel h-index
