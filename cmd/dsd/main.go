@@ -306,7 +306,7 @@ func analyze(path, mode string, directed bool, workers int, out io.Writer) error
 		if err != nil {
 			return err
 		}
-		tiers := dsd.DensityFriendlyDecomposition(g, workers)
+		tiers := dsd.DensityFriendlyDecomposition(g)
 		fmt.Fprintf(out, "density-friendly decomposition (%d tiers):\n", len(tiers))
 		for i, tier := range tiers {
 			fmt.Fprintf(out, "  tier %d: %d vertices @ density %.4f\n", i+1, len(tier.Vertices), tier.Density)

@@ -440,7 +440,7 @@ func TestCNPairSkylineAPI(t *testing.T) {
 func TestDensityFriendlyDecompositionAPI(t *testing.T) {
 	base := dsd.GenerateErdosRenyi(150, 200, 34)
 	g, _ := dsd.PlantClique(base, 12, 35)
-	tiers := dsd.DensityFriendlyDecomposition(g, 2)
+	tiers := dsd.DensityFriendlyDecomposition(g)
 	if len(tiers) < 1 || tiers[0].Density < 5.4 {
 		t.Fatalf("tiers: %+v", tiers)
 	}

@@ -192,10 +192,21 @@ func (g *Undirected) Induced(vertices []int32) (sub *Undirected, original []int3
 }
 
 // InducedDensity returns |E(S)|/|S| for the subgraph induced by S without
-// materializing it, using a bitmap membership test; 0 for an empty S.
+// materializing it; 0 for an empty S.
 func (g *Undirected) InducedDensity(s []int32) float64 {
-	if len(s) == 0 {
+	edges, size := g.InducedEdges(s)
+	if size == 0 {
 		return 0
+	}
+	return float64(edges) / float64(size)
+}
+
+// InducedEdges returns |E(S)| and |S| for the subgraph induced by S without
+// materializing it, using a bitmap membership test. Duplicate ids in S are
+// counted once.
+func (g *Undirected) InducedEdges(s []int32) (edges int64, size int) {
+	if len(s) == 0 {
+		return 0, 0
 	}
 	in := make([]bool, g.N())
 	uniq := make([]int32, 0, len(s))
@@ -205,8 +216,6 @@ func (g *Undirected) InducedDensity(s []int32) float64 {
 			uniq = append(uniq, v)
 		}
 	}
-	cnt := len(uniq)
-	var edges int64
 	for _, u := range uniq {
 		for _, v := range g.Neighbors(u) {
 			if in[v] && u < v {
@@ -214,7 +223,7 @@ func (g *Undirected) InducedDensity(s []int32) float64 {
 			}
 		}
 	}
-	return float64(edges) / float64(cnt)
+	return edges, len(uniq)
 }
 
 // FilterEdges returns the subgraph keeping exactly the edges for which

@@ -6,9 +6,9 @@ import (
 )
 
 // Eps is the tolerance under which residual capacities are treated as zero.
-// The densest-subgraph binary searches have candidate densities that are
-// ratios of small integers, so 1e-9 cleanly separates distinct candidates
-// on every graph this repository targets.
+// It matters only for fractional capacities: on a network whose capacities
+// are integers below 2^53, every residual capacity and flow value Dinic
+// produces is an integer computed exactly, so "> Eps" means "> 0".
 const Eps = 1e-9
 
 type arc struct {
@@ -22,7 +22,7 @@ type arc struct {
 // a zero-capacity reverse arc.
 type Network struct {
 	arcs [][]arc
-	// BFS/DFS scratch, sized on first Solve.
+	// BFS/DFS scratch, sized on first Solve and reused by later ones.
 	level []int32
 	iter  []int32
 	queue []int32
@@ -39,14 +39,29 @@ func NewNetwork(n int) *Network {
 // N returns the node count.
 func (nw *Network) N() int { return len(nw.arcs) }
 
+// Arc names an arc added with AddArc, for SetCapacity.
+type Arc struct{ from, idx int32 }
+
 // AddArc adds a directed arc from u to v with the given capacity (and its
 // zero-capacity residual twin). Negative capacities are clamped to zero.
-func (nw *Network) AddArc(u, v int32, capacity float64) {
+func (nw *Network) AddArc(u, v int32, capacity float64) Arc {
 	if capacity < 0 {
 		capacity = 0
 	}
 	nw.arcs[u] = append(nw.arcs[u], arc{to: v, rev: int32(len(nw.arcs[v])), cap: capacity})
 	nw.arcs[v] = append(nw.arcs[v], arc{to: u, rev: int32(len(nw.arcs[u]) - 1), cap: 0})
+	return Arc{from: u, idx: int32(len(nw.arcs[u]) - 1)}
+}
+
+// SetCapacity rewrites the capacity of arc a to forward and that of its
+// twin to backward: 0 for a one-way arc, the same value for an undirected
+// edge of that capacity. Any flow on the pair is discarded, so rewriting
+// every arc re-arms a solved network for another Solve. Negative
+// capacities are clamped to zero.
+func (nw *Network) SetCapacity(a Arc, forward, backward float64) {
+	f := &nw.arcs[a.from][a.idx]
+	f.cap = max(forward, 0)
+	nw.arcs[f.to][f.rev].cap = max(backward, 0)
 }
 
 // SetContext installs a context polled between blocking-flow phases (each
@@ -106,12 +121,15 @@ func (nw *Network) dfs(u, t int32, f float64) float64 {
 }
 
 // Solve computes the maximum s-t flow and mutates the network into its
-// residual form. It may be called once per network.
+// residual form. Solving again needs fresh capacities (SetCapacity on every
+// arc); on the residual network left behind it only finds no more flow.
 func (nw *Network) Solve(s, t int32) float64 {
-	n := nw.N()
-	nw.level = make([]int32, n)
-	nw.iter = make([]int32, n)
-	nw.queue = make([]int32, 0, n)
+	if n := nw.N(); len(nw.level) != n {
+		nw.level = make([]int32, n)
+		nw.iter = make([]int32, n)
+		nw.queue = make([]int32, 0, n)
+	}
+	nw.canceled = false
 	var flow float64
 	for nw.bfs(s, t) {
 		if nw.expired() {
@@ -132,20 +150,35 @@ func (nw *Network) Solve(s, t int32) float64 {
 	return flow
 }
 
-// MinCutSource returns the source side of a minimum s-t cut of the residual
-// network left behind by Solve: every node reachable from s through arcs
-// with residual capacity > Eps.
+// MinCutSource returns the source side of the minimum s-t cut with the
+// fewest nodes, from the residual network left behind by Solve: every node
+// reachable from s through arcs with residual capacity > Eps.
 func (nw *Network) MinCutSource(s int32) []int32 {
-	n := nw.N()
-	seen := make([]bool, n)
-	seen[s] = true
-	stack := []int32{s}
-	side := []int32{s}
+	return nw.reach(s, func(a arc) float64 { return a.cap })
+}
+
+// MinCutSink returns the sink side of the minimum s-t cut with the fewest
+// nodes, from the residual network left behind by Solve: every node that
+// reaches t through arcs with residual capacity > Eps. Its complement is
+// the source side with the most nodes.
+func (nw *Network) MinCutSink(t int32) []int32 {
+	return nw.reach(t, func(a arc) float64 { return nw.arcs[a.to][a.rev].cap })
+}
+
+// reach walks from root along the arcs whose residual, as read by
+// residual from the arc leaving the current node, exceeds Eps: forward
+// residuals for MinCutSource, the twins' residuals (the arcs pointing back
+// at the current node) for MinCutSink.
+func (nw *Network) reach(root int32, residual func(arc) float64) []int32 {
+	seen := make([]bool, nw.N())
+	seen[root] = true
+	stack := []int32{root}
+	side := []int32{root}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, a := range nw.arcs[u] {
-			if a.cap > Eps && !seen[a.to] {
+			if residual(a) > Eps && !seen[a.to] {
 				seen[a.to] = true
 				stack = append(stack, a.to)
 				side = append(side, a.to)

@@ -84,15 +84,51 @@ func TestMinCutSourceSide(t *testing.T) {
 }
 
 // TestMaxFlowMinCutDuality checks flow value == cut capacity on random
-// networks (the certificate Dinic's must satisfy).
+// networks (the certificate Dinic's must satisfy) for both the smallest and
+// the largest source side, then re-arms each network with SetCapacity and
+// checks the second Solve against a freshly built network.
 func TestMaxFlowMinCutDuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	type capArc struct {
+		u, v   int32
+		c      float64
+		handle Arc
+	}
+	checkCuts := func(trial int, nw *Network, arcs []capArc, s, tt int32, flow float64) {
+		t.Helper()
+		n := nw.N()
+		minSide, maxSide := make([]bool, n), make([]bool, n)
+		for _, v := range nw.MinCutSource(s) {
+			minSide[v] = true
+		}
+		for v := range maxSide {
+			maxSide[v] = true
+		}
+		for _, v := range nw.MinCutSink(tt) {
+			maxSide[v] = false
+		}
+		if minSide[tt] || !maxSide[s] {
+			t.Fatalf("trial %d: a side holds the wrong terminal", trial)
+		}
+		for _, side := range [][]bool{minSide, maxSide} {
+			var cut float64
+			for _, a := range arcs {
+				if side[a.u] && !side[a.v] {
+					cut += a.c
+				}
+			}
+			if math.Abs(flow-cut) > 1e-6 {
+				t.Fatalf("trial %d: flow %v != cut %v", trial, flow, cut)
+			}
+		}
+		for v := range minSide {
+			if minSide[v] && !maxSide[v] {
+				t.Fatalf("trial %d: smallest side not inside the largest", trial)
+			}
+		}
+	}
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(16)
-		type capArc struct {
-			u, v int32
-			c    float64
-		}
 		var arcs []capArc
 		nw := NewNetwork(n)
 		for i := 0; i < n*3; i++ {
@@ -101,28 +137,22 @@ func TestMaxFlowMinCutDuality(t *testing.T) {
 				continue
 			}
 			c := float64(1 + rng.Intn(10))
-			arcs = append(arcs, capArc{u, v, c})
-			nw.AddArc(u, v, c)
+			arcs = append(arcs, capArc{u, v, c, nw.AddArc(u, v, c)})
 		}
 		s, tt := int32(0), int32(n-1)
+		checkCuts(trial, nw, arcs, s, tt, nw.Solve(s, tt))
+
+		fresh := NewNetwork(n)
+		for i := range arcs {
+			arcs[i].c = float64(rng.Intn(10))
+			nw.SetCapacity(arcs[i].handle, arcs[i].c, 0)
+			fresh.AddArc(arcs[i].u, arcs[i].v, arcs[i].c)
+		}
 		flow := nw.Solve(s, tt)
-		side := nw.MinCutSource(s)
-		inSide := make([]bool, n)
-		for _, v := range side {
-			inSide[v] = true
+		if want := fresh.Solve(s, tt); flow != want {
+			t.Fatalf("trial %d: re-armed flow %v, fresh %v", trial, flow, want)
 		}
-		if inSide[tt] {
-			t.Fatalf("trial %d: sink on source side", trial)
-		}
-		var cut float64
-		for _, a := range arcs {
-			if inSide[a.u] && !inSide[a.v] {
-				cut += a.c
-			}
-		}
-		if math.Abs(flow-cut) > 1e-6 {
-			t.Fatalf("trial %d: flow %v != cut %v", trial, flow, cut)
-		}
+		checkCuts(trial, nw, arcs, s, tt, flow)
 	}
 }
 

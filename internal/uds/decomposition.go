@@ -24,14 +24,15 @@ type DensityTier struct {
 // The returned tier densities are non-increasing (the defining property);
 // the union of all tiers is V minus any isolated remainder that has no
 // edges.
-func DensityFriendly(g *graph.Undirected, p int) []DensityTier {
+func DensityFriendly(g *graph.Undirected) []DensityTier {
 	var tiers []DensityTier
 	cur := g
 	// mapping from cur's ids back to g's ids (nil = identity).
 	var orig []int32
 	for cur.M() > 0 {
-		// context.TODO never cancels, so the solve cannot fail.
-		res, _ := ExactPruned(context.TODO(), cur, solver.Params{Workers: p})
+		// context.TODO never cancels, so the solve fails only past the 2^53
+		// flow bound; its empty result then ends the chain.
+		res, _ := ExactPruned(context.TODO(), cur, solver.Params{})
 		if len(res.Vertices) == 0 || res.Density <= 0 {
 			break
 		}

@@ -98,7 +98,7 @@ func init() {
 	solver.Register(solver.Descriptor{
 		Name: "exact", Kind: solver.KindUDS, Display: "Exact",
 		Grade:        solver.GradeExact,
-		Guarantee:    "exact via Goldberg's parameterized min-cut binary search",
+		Guarantee:    "exact via Goldberg's parameterized min-cut, searched by integer Newton iteration",
 		Paper:        "Goldberg (1984); the reproduced paper's exactness baseline",
 		TraceColumns: []string{"phases"},
 		Serial:       true, Degradable: true,
@@ -108,11 +108,11 @@ func init() {
 	solver.Register(solver.Descriptor{
 		Name: "exact-pruned", Kind: solver.KindUDS, Display: "Exact-Pruned",
 		Grade:        solver.GradeExact,
-		Guarantee:    "exact: PKMC lower bound prunes to the ⌈ρ̃⌉-core before the flow search",
+		Guarantee:    "exact: one BZ core pass gives ρ̃ and the ⌈ρ̃⌉-core; integer Newton search over min-cuts",
 		Paper:        "Fang et al. (the reproduced paper's [6])",
 		TraceColumns: []string{"phases"},
-		Degradable:   true,
-		CLI:          true, Server: true,
+		Serial:       true, Degradable: true,
+		CLI: true, Server: true,
 		SolveUDS: ExactPruned,
 	})
 	solver.Register(solver.Descriptor{

@@ -2,8 +2,11 @@ package uds
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +26,9 @@ func solve(f func(context.Context, *graph.Undirected, solver.Params) (solver.Res
 }
 
 // bruteForce solves UDS by enumerating all 2^n - 1 non-empty vertex
-// subsets. It is the test oracle for Exact and panics above 20 vertices.
+// subsets in integer arithmetic, and returns the union of every densest
+// one: the maximal densest subgraph, which the exact solvers return. It is
+// their test oracle and panics above 20 vertices.
 func bruteForce(g *graph.Undirected) solver.Result {
 	n := g.N()
 	if n == 0 {
@@ -32,22 +37,60 @@ func bruteForce(g *graph.Undirected) solver.Result {
 	if n > 20 {
 		panic("uds: BruteForce beyond 20 vertices")
 	}
-	var best []int32
-	bestDensity := -1.0
-	set := make([]int32, 0, n)
-	for mask := 1; mask < 1<<n; mask++ {
-		set = set[:0]
-		for v := 0; v < n; v++ {
-			if mask&(1<<v) != 0 {
-				set = append(set, int32(v))
-			}
-		}
-		if d := g.InducedDensity(set); d > bestDensity {
-			bestDensity = d
-			best = append([]int32(nil), set...)
+	nbr := make([]uint32, n)
+	for u := range nbr {
+		for _, v := range g.Neighbors(int32(u)) {
+			nbr[u] |= 1 << v
 		}
 	}
-	return solver.Result{Algorithm: "BruteForce", Vertices: best, Density: bestDensity}
+	// edges[mask] = |E(mask)|, built from mask minus its lowest vertex.
+	edges := make([]int64, 1<<n)
+	bestE, bestS := int64(0), int64(1)
+	var union uint32
+	for mask := uint32(1); mask < 1<<n; mask++ {
+		v := bits.TrailingZeros32(mask)
+		rest := mask &^ (1 << v)
+		e := edges[rest] + int64(bits.OnesCount32(nbr[v]&rest))
+		edges[mask] = e
+		size := int64(bits.OnesCount32(mask))
+		switch c := e*bestS - bestE*size; {
+		case c > 0:
+			bestE, bestS, union = e, size, mask
+		case c == 0:
+			union |= mask
+		}
+	}
+	var best []int32
+	for v := 0; v < n; v++ {
+		if union&(1<<v) != 0 {
+			best = append(best, int32(v))
+		}
+	}
+	return solver.Result{Algorithm: "BruteForce", Vertices: best, Density: float64(bestE) / float64(bestS)}
+}
+
+// checkExact compares an exact solver's answer res on g with the
+// brute-force optimum bf: the densities must be equal as rationals and the
+// sets identical. On a graph without edges the solvers answer one vertex
+// (none for the empty graph) instead of bruteForce's union.
+func checkExact(g *graph.Undirected, res, bf solver.Result) error {
+	e, size := g.InducedEdges(res.Vertices)
+	if g.M() == 0 {
+		if e != 0 || len(res.Vertices) != min(g.N(), 1) {
+			return fmt.Errorf("edgeless graph: got %v", res.Vertices)
+		}
+		return nil
+	}
+	be, bsize := g.InducedEdges(bf.Vertices)
+	if e*int64(bsize) != be*int64(size) {
+		return fmt.Errorf("density %d/%d, want %d/%d", e, size, be, bsize)
+	}
+	got := slices.Clone(res.Vertices)
+	slices.Sort(got)
+	if !slices.Equal(got, bf.Vertices) {
+		return fmt.Errorf("vertices %v, want the maximal densest set %v", got, bf.Vertices)
+	}
+	return nil
 }
 
 func randomGraph(seed int64, maxN, mult int) *graph.Undirected {
@@ -64,10 +107,15 @@ func randomGraph(seed int64, maxN, mult int) *graph.Undirected {
 
 func TestExactMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
-		g := randomGraph(seed, 10, 3)
-		ex := solve(Exact, g, solver.Params{})
+		g := randomGraph(seed, 19, 3) // up to 20 vertices
 		bf := bruteForce(g)
-		return math.Abs(ex.Density-bf.Density) < 1e-6
+		for _, fn := range []func(context.Context, *graph.Undirected, solver.Params) (solver.Result, error){Exact, ExactPruned} {
+			if err := checkExact(g, solve(fn, g, solver.Params{}), bf); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -284,8 +332,10 @@ func TestExactPrunedMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 40, 4)
 		a := solve(Exact, g, solver.Params{})
-		b := solve(ExactPruned, g, solver.Params{Workers: 2})
-		return math.Abs(a.Density-b.Density) < 1e-6
+		b := solve(ExactPruned, g, solver.Params{})
+		slices.Sort(a.Vertices)
+		slices.Sort(b.Vertices)
+		return slices.Equal(a.Vertices, b.Vertices)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -369,7 +419,7 @@ func TestGreedyPPOnPlantedClique(t *testing.T) {
 func TestDensityFriendlyProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 35, 4)
-		tiers := DensityFriendly(g, 2)
+		tiers := DensityFriendly(g)
 		if g.M() > 0 && len(tiers) == 0 {
 			return false
 		}
@@ -408,7 +458,7 @@ func TestDensityFriendlyTwoCommunities(t *testing.T) {
 	base := gen.ErdosRenyi(300, 400, 70)
 	g1, big := gen.PlantClique(base, 20, 71)
 	g, small := gen.PlantClique(g1, 10, 72)
-	tiers := DensityFriendly(g, 2)
+	tiers := DensityFriendly(g)
 	if len(tiers) < 2 {
 		t.Fatalf("only %d tiers", len(tiers))
 	}
@@ -444,7 +494,7 @@ func TestDensityFriendlyTwoCommunities(t *testing.T) {
 }
 
 func TestDensityFriendlyEmpty(t *testing.T) {
-	if tiers := DensityFriendly(graph.NewUndirected(4, nil), 2); len(tiers) != 0 {
+	if tiers := DensityFriendly(graph.NewUndirected(4, nil)); len(tiers) != 0 {
 		t.Fatalf("edgeless graph produced tiers: %v", tiers)
 	}
 }

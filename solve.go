@@ -41,9 +41,9 @@ const (
 	// (Options.Iterations; default 16).
 	AlgoGreedyPP Algo = "greedypp"
 	// AlgoExactPruned is the core-accelerated exact solver of Fang et al.
-	// (the paper's [6]): prune to the ⌈ρ̃⌉-core using the PKMC lower bound,
-	// then run the flow search on the remnant — exact answers on graphs far
-	// beyond AlgoExact's reach.
+	// (the paper's [6]): one BZ core pass gives the lower bound ρ̃ and the
+	// ⌈ρ̃⌉-core, and the exact flow search runs on that remnant — exact
+	// answers on graphs far beyond AlgoExact's reach.
 	AlgoExactPruned Algo = "exact-pruned"
 	// AlgoExactEps is the (1+ε)-approximate flow solver (ε from
 	// Options.Epsilon, default 0.1): O(log 1/ε) min-cuts seeded by the
@@ -317,9 +317,9 @@ type DensityTier struct {
 // et al., the paper's related work [23], [34]) — a whole-graph profile of
 // dense regions with non-increasing tier densities. Exact per tier
 // (core-pruned flow), so intended for graphs up to ~10^5 edges.
-func DensityFriendlyDecomposition(g *Graph, workers int) []DensityTier {
+func DensityFriendlyDecomposition(g *Graph) []DensityTier {
 	var out []DensityTier
-	for _, t := range uds.DensityFriendly(g.g, workers) {
+	for _, t := range uds.DensityFriendly(g.g) {
 		out = append(out, DensityTier{Vertices: t.Vertices, Density: t.Density})
 	}
 	return out
