@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -38,8 +39,8 @@ func NewDirectedChecked(n int, arcs []Edge) (*Directed, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	outDeg := make([]int64, n+1)
-	inDeg := make([]int64, n+1)
+	outOff := make([]int64, n+1)
+	inOff := make([]int64, n+1)
 	for _, e := range arcs {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: arc (%d,%d) outside vertex range [0,%d)", e.U, e.V, n)
@@ -47,53 +48,32 @@ func NewDirectedChecked(n int, arcs []Edge) (*Directed, error) {
 		if e.U == e.V {
 			continue
 		}
-		outDeg[e.U+1]++
-		inDeg[e.V+1]++
+		outOff[e.U+1]++
+		inOff[e.V+1]++
 	}
 	for v := 0; v < n; v++ {
-		outDeg[v+1] += outDeg[v]
-		inDeg[v+1] += inDeg[v]
+		outOff[v+1] += outOff[v]
+		inOff[v+1] += inOff[v]
 	}
-	outAdj := make([]int32, outDeg[n])
-	inAdj := make([]int32, inDeg[n])
-	outFill := make([]int64, n)
-	inFill := make([]int64, n)
+	outAdj := make([]int32, outOff[n])
+	inAdj := make([]int32, inOff[n])
+	outCur := make([]int64, n)
+	inCur := make([]int64, n)
+	copy(outCur, outOff)
+	copy(inCur, inOff)
 	for _, e := range arcs {
 		if e.U == e.V {
 			continue
 		}
-		outAdj[outDeg[e.U]+outFill[e.U]] = e.V
-		outFill[e.U]++
-		inAdj[inDeg[e.V]+inFill[e.V]] = e.U
-		inFill[e.V]++
+		outAdj[outCur[e.U]] = e.V
+		outCur[e.U]++
+		inAdj[inCur[e.V]] = e.U
+		inCur[e.V]++
 	}
-	d := &Directed{outOff: outDeg, outAdj: outAdj, inOff: inDeg, inAdj: inAdj}
-	d.sortAndDedup()
+	d := &Directed{}
+	d.outOff, d.outAdj = sortAndDedup(outOff, outAdj)
+	d.inOff, d.inAdj = sortAndDedup(inOff, inAdj)
 	return d, nil
-}
-
-func (d *Directed) sortAndDedup() {
-	n := d.N()
-	dedupSide := func(off []int64, adj []int32) ([]int64, []int32) {
-		newOff := make([]int64, n+1)
-		var w int64
-		for v := 0; v < n; v++ {
-			list := adj[off[v]:off[v+1]]
-			sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-			newOff[v] = w
-			for i := range list {
-				if i > 0 && list[i] == list[i-1] {
-					continue
-				}
-				adj[w] = list[i]
-				w++
-			}
-		}
-		newOff[n] = w
-		return newOff, adj[:w:w]
-	}
-	d.outOff, d.outAdj = dedupSide(d.outOff, d.outAdj)
-	d.inOff, d.inAdj = dedupSide(d.inOff, d.inAdj)
 }
 
 // N returns the number of vertices.
@@ -257,7 +237,7 @@ func dedup(s []int32) []int32 {
 	}
 	c := make([]int32, len(s))
 	copy(c, s)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	slices.Sort(c)
 	w := 1
 	for i := 1; i < len(c); i++ {
 		if c[i] != c[i-1] {

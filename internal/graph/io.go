@@ -2,12 +2,14 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,8 +17,22 @@ import (
 )
 
 // The text format is the KONECT / SNAP edge-list dialect: one "u v" pair of
-// whitespace-separated vertex ids per line; lines starting with '%' or '#'
-// are comments. Vertex ids need not be dense — readers compact them.
+// whitespace-separated non-negative decimal vertex ids per line, with any
+// further columns (KONECT weights, timestamps) ignored; lines starting with
+// '%' or '#' are comments. Vertex ids need not be dense — readers compact
+// them into 0..n-1 in order of first appearance.
+//
+// ReadEdgeList reads lines in place from one reused 64 KiB buffer; a longer
+// line is gathered apart, and one of 1 MiB or more (newline excluded) is an
+// error. The common line shape — optional ASCII blanks, 1–18 digits,
+// blanks, 1–18 digits, then the end of the line or an ASCII blank and
+// anything — is parsed without allocating. Every other line (comments,
+// blank lines, signs, 19+ digit ids, Unicode spaces, bad tokens) takes the
+// general TrimSpace/Fields/ParseInt path, which decides what is accepted
+// and words every error. Raw ids map to compact ids through a dense table
+// indexed by raw id, capped at a length that grows with the bytes read so
+// far; ids past the cap go to a map, so the table's memory follows the
+// input's size, not its largest id.
 //
 // The binary format is a little-endian dump, in two versions:
 //
@@ -26,8 +42,8 @@ import (
 // v2 appends a CRC32 (IEEE) footer computed over every preceding byte
 // (magic included), so bit rot and truncation-at-a-record-boundary are
 // detected instead of silently loading a wrong graph. Writers emit v2;
-// readers accept both. Binary loads an order of magnitude faster than text
-// for the benchmark datasets.
+// readers accept both. Binary loads skip tokenizing and id compaction, and
+// hand the builder edges in CSR order, whose neighbor lists arrive sorted.
 //
 // Binary input is treated as untrusted: header counts are validated before
 // any count-proportional allocation (a forged multi-gigabyte m cannot
@@ -57,6 +73,16 @@ const (
 	vertexSlackPerEdge        = 64
 )
 
+const (
+	// maxLine bounds a text line: its bytes before the newline must number
+	// fewer than this, as under a bufio.Scanner with a 1 MiB buffer.
+	maxLine = 1 << 20
+	// readChunk is the read buffer; longer lines are gathered apart.
+	readChunk = 64 << 10
+	// edgeBlock is how many parsed edges one block holds (512 KiB).
+	edgeBlock = 1 << 16
+)
+
 // ReadEdgeList parses a text edge list, compacting arbitrary non-negative
 // vertex ids into the dense range [0, n). It returns the arc/edge list, the
 // number of distinct vertices, and the original ids (ids[i] is the original
@@ -65,46 +91,174 @@ func ReadEdgeList(r io.Reader) (edges []Edge, n int, ids []int64, err error) {
 	if err := faultinject.Hit(faultinject.SiteGraphIOText); err != nil {
 		return nil, 0, nil, err
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	compact := make(map[int64]int32)
-	lineNo := 0
-	lookup := func(raw int64) int32 {
-		if c, ok := compact[raw]; ok {
-			return c
+	br := bufio.NewReaderSize(r, readChunk)
+	t := idTable{sparse: make(map[int64]int32)}
+	var read int64 // bytes consumed so far, which cap the dense id table
+	var long []byte
+	// Edges fill blocks of edgeBlock and are joined once at the end, which
+	// copies each edge once instead of on every regrowth of one slice.
+	var full [][]Edge
+	for lineNo := 1; ; lineNo++ {
+		line, rerr := br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			// A line longer than the buffer: gather it, up to maxLine.
+			long = append(long[:0], line...)
+			for rerr == bufio.ErrBufferFull && len(long) < maxLine {
+				line, rerr = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+			if len(bytes.TrimSuffix(line, []byte{'\n'})) >= maxLine {
+				return nil, 0, nil, fmt.Errorf("graph: reading edge list: %w", bufio.ErrTooLong)
+			}
 		}
-		c := int32(len(ids))
-		compact[raw] = c
-		ids = append(ids, raw)
+		read += int64(len(line))
+		if len(line) > 0 {
+			u, v, ok := parseEdgeLine(line)
+			if !ok {
+				if u, v, ok, err = parseLineGeneral(string(line), lineNo); err != nil {
+					return nil, 0, nil, err
+				}
+			}
+			if ok {
+				if len(edges) == edgeBlock {
+					full = append(full, edges)
+					edges = make([]Edge, 0, edgeBlock)
+				}
+				limit := read + denseSlack
+				cu := t.lookup(u, limit)
+				edges = append(edges, Edge{cu, t.lookup(v, limit)})
+			}
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return nil, 0, nil, fmt.Errorf("graph: reading edge list: %w", rerr)
+		}
+	}
+	if len(full) > 0 {
+		edges = slices.Concat(append(full, edges)...)
+	}
+	return edges, len(t.ids), t.ids, nil
+}
+
+// parseEdgeLine parses the common line shape in place (see the format
+// comment above); ok is false for any other line. Eighteen digits stay
+// below 2^63, so no overflow check is needed.
+func parseEdgeLine(b []byte) (u, v int64, ok bool) {
+	i := skipBlanks(b, 0)
+	u, i, ok = parseDigits(b, i)
+	if !ok {
+		return 0, 0, false
+	}
+	j := skipBlanks(b, i)
+	if j == i {
+		return 0, 0, false
+	}
+	v, j, ok = parseDigits(b, j)
+	if !ok || (j < len(b) && !isBlank(b[j])) {
+		return 0, 0, false
+	}
+	return u, v, true
+}
+
+// isBlank reports whether c is ASCII whitespace, the bytes both
+// strings.TrimSpace and strings.Fields treat as separators without
+// decoding a rune. '\n' only ever ends a line.
+func isBlank(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f'
+}
+
+func skipBlanks(b []byte, i int) int {
+	for i < len(b) && isBlank(b[i]) {
+		i++
+	}
+	return i
+}
+
+// parseDigits reads the run of ASCII digits at b[i:]; ok requires 1–18 of
+// them.
+func parseDigits(b []byte, i int) (x int64, end int, ok bool) {
+	start := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		x = x*10 + int64(b[i]-'0')
+	}
+	return x, i, i > start && i-start <= 18
+}
+
+// parseLineGeneral is the path for every line parseEdgeLine declines. ok
+// is false for blank and comment lines; it owns every error message.
+func parseLineGeneral(raw string, lineNo int) (u, v int64, ok bool, err error) {
+	line := strings.TrimSpace(raw)
+	if line == "" || line[0] == '%' || line[0] == '#' {
+		return 0, 0, false, nil
+	}
+	fields := strings.Fields(line)
+	if len(fields) < 2 {
+		return 0, 0, false, fmt.Errorf("graph: line %d: want at least two fields, got %q", lineNo, line)
+	}
+	if u, err = strconv.ParseInt(fields[0], 10, 64); err != nil {
+		return 0, 0, false, fmt.Errorf("graph: line %d: bad vertex id %q: %w", lineNo, fields[0], err)
+	}
+	if v, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return 0, 0, false, fmt.Errorf("graph: line %d: bad vertex id %q: %w", lineNo, fields[1], err)
+	}
+	if u < 0 || v < 0 {
+		return 0, 0, false, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
+	}
+	return u, v, true, nil
+}
+
+// denseSlack is how far past the bytes consumed so far the dense id table
+// may reach: 64K entries (256 KiB), so small files with small ids never
+// touch the map.
+const denseSlack = 1 << 16
+
+// idTable maps raw ids to compact ids in order of first appearance. Ids
+// below len(dense) live in dense (compact id + 1, 0 for unseen); all other
+// ids live in sparse. Growing dense moves the sparse ids it now covers, so
+// that split holds throughout.
+type idTable struct {
+	dense  []int32
+	sparse map[int64]int32
+	ids    []int64
+}
+
+// lookup returns raw's compact id, assigning the next one to a new id.
+// limit caps the length dense may grow to.
+func (t *idTable) lookup(raw, limit int64) int32 {
+	if raw < int64(len(t.dense)) {
+		if c := t.dense[raw]; c != 0 {
+			return c - 1
+		}
+	} else if c, ok := t.sparse[raw]; ok {
 		return c
+	} else if raw < limit {
+		t.grow(min(max(2*int64(len(t.dense)), raw+1), limit))
 	}
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '%' || line[0] == '#' {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, 0, nil, fmt.Errorf("graph: line %d: want at least two fields, got %q", lineNo, line)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("graph: line %d: bad vertex id %q: %w", lineNo, fields[0], err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("graph: line %d: bad vertex id %q: %w", lineNo, fields[1], err)
-		}
-		if u < 0 || v < 0 {
-			return nil, 0, nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
-		}
-		edges = append(edges, Edge{lookup(u), lookup(v)})
+	c := int32(len(t.ids))
+	t.ids = append(t.ids, raw)
+	if raw < int64(len(t.dense)) {
+		t.dense[raw] = c + 1
+	} else {
+		t.sparse[raw] = c
 	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, nil, fmt.Errorf("graph: reading edge list: %w", err)
+	return c
+}
+
+// grow extends dense to size entries and moves the sparse ids it now
+// covers into it.
+func (t *idTable) grow(size int64) {
+	d := make([]int32, size)
+	copy(d, t.dense)
+	t.dense = d
+	for raw, c := range t.sparse {
+		if raw < size {
+			d[raw] = c + 1
+			delete(t.sparse, raw)
+		}
 	}
-	return edges, len(ids), ids, nil
 }
 
 // ReadUndirected parses a text edge list into an Undirected graph.
@@ -128,28 +282,56 @@ func ReadDirected(r io.Reader) (*Directed, error) {
 
 // WriteEdgeList writes g in the text format with a leading comment header.
 func (g *Undirected) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%% undirected n=%d m=%d\n", g.N(), g.M())
+	tw := textWriter{w: w, buf: fmt.Appendf(nil, "%% undirected n=%d m=%d\n", g.N(), g.M())}
 	for u := int32(0); int(u) < g.N(); u++ {
 		for _, v := range g.Neighbors(u) {
 			if u < v {
-				fmt.Fprintf(bw, "%d %d\n", u, v)
+				if err := tw.line(u, v); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return bw.Flush()
+	return tw.flush()
 }
 
 // WriteEdgeList writes d in the text format (one arc per line).
 func (d *Directed) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%% directed n=%d m=%d\n", d.N(), d.M())
+	tw := textWriter{w: w, buf: fmt.Appendf(nil, "%% directed n=%d m=%d\n", d.N(), d.M())}
 	for u := int32(0); int(u) < d.N(); u++ {
 		for _, v := range d.OutNeighbors(u) {
-			fmt.Fprintf(bw, "%d %d\n", u, v)
+			if err := tw.line(u, v); err != nil {
+				return err
+			}
 		}
 	}
-	return bw.Flush()
+	return tw.flush()
+}
+
+// textWriter appends "u v" lines to one reused buffer and hands it to w
+// whenever it passes textChunk bytes.
+type textWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+const textChunk = 64 << 10
+
+func (t *textWriter) line(u, v int32) error {
+	t.buf = strconv.AppendInt(t.buf, int64(u), 10)
+	t.buf = append(t.buf, ' ')
+	t.buf = strconv.AppendInt(t.buf, int64(v), 10)
+	t.buf = append(t.buf, '\n')
+	if len(t.buf) < textChunk {
+		return nil
+	}
+	return t.flush()
+}
+
+func (t *textWriter) flush() error {
+	_, err := t.w.Write(t.buf)
+	t.buf = t.buf[:0]
+	return err
 }
 
 func writeBinary(w io.Writer, directed bool, n int, edges func(emit func(u, v int32) error) error, m int64) error {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -39,7 +40,7 @@ func NewUndirectedChecked(n int, edges []Edge) (*Undirected, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	deg := make([]int64, n+1)
+	offsets := make([]int64, n+1)
 	for _, e := range edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) outside vertex range [0,%d)", e.U, e.V, n)
@@ -47,53 +48,50 @@ func NewUndirectedChecked(n int, edges []Edge) (*Undirected, error) {
 		if e.U == e.V {
 			continue
 		}
-		deg[e.U+1]++
-		deg[e.V+1]++
+		offsets[e.U+1]++
+		offsets[e.V+1]++
 	}
-	offsets := deg // reuse: prefix-sum in place
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
 	adj := make([]int32, offsets[n])
-	fill := make([]int64, n)
+	cur := make([]int64, n)
+	copy(cur, offsets)
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
 		}
-		adj[offsets[e.U]+fill[e.U]] = e.V
-		fill[e.U]++
-		adj[offsets[e.V]+fill[e.V]] = e.U
-		fill[e.V]++
+		adj[cur[e.U]] = e.V
+		cur[e.U]++
+		adj[cur[e.V]] = e.U
+		cur[e.V]++
 	}
-	g := &Undirected{offsets: offsets, adj: adj}
-	g.sortAndDedup()
-	return g, nil
+	offsets, adj = sortAndDedup(offsets, adj)
+	return &Undirected{offsets: offsets, adj: adj}, nil
 }
 
-// sortAndDedup sorts every neighbor list and removes duplicates, compacting
-// the CSR arrays in place.
-func (g *Undirected) sortAndDedup() {
-	n := g.N()
-	newOff := make([]int64, n+1)
+// sortAndDedup sorts every list of a CSR pair and drops repeats, compacting
+// both arrays in place: a list never starts later than it did before, so
+// each start can be overwritten once its old value has been read.
+func sortAndDedup(off []int64, adj []int32) ([]int64, []int32) {
+	n := len(off) - 1
 	var w int64
+	lo := off[0]
 	for v := 0; v < n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		list := g.adj[lo:hi]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		start := w
-		for i := range list {
-			if i > 0 && list[i] == list[i-1] {
-				continue
+		hi := off[v+1]
+		list := adj[lo:hi]
+		slices.Sort(list)
+		off[v] = w
+		for i, x := range list {
+			if i == 0 || x != list[i-1] {
+				adj[w] = x
+				w++
 			}
-			g.adj[w] = list[i]
-			w++
 		}
-		newOff[v] = start
+		lo = hi
 	}
-	newOff[n] = w
-	// shift starts into place: newOff[v] currently holds start of v
-	g.offsets = newOff
-	g.adj = g.adj[:w:w]
+	off[n] = w
+	return off, adj[:w:w]
 }
 
 // N returns the number of vertices.
