@@ -76,15 +76,17 @@ fuzz:
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 30s ./internal/graph
 	$(GO) test -fuzz FuzzExactVsBruteForce -fuzztime 30s ./internal/uds
+	$(GO) test -fuzz FuzzWStarVsReference -fuzztime 30s ./internal/dds
 
 # Quick CI-grade pass over every fuzz target: seeds plus a few seconds of
-# mutation each, enough to catch reader and exact-solver regressions
-# without a long soak.
+# mutation each, enough to catch reader, exact-solver and w*-peel
+# regressions without a long soak.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz 'FuzzReadBinary$$' -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz FuzzReadBinaryDirected -fuzztime 5s ./internal/graph
 	$(GO) test -fuzz FuzzExactVsBruteForce -fuzztime 5s ./internal/uds
+	$(GO) test -fuzz FuzzWStarVsReference -fuzztime 5s ./internal/dds
 
 # One testing.B benchmark per paper table/figure, plus ablations.
 bench:

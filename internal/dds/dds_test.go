@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -415,6 +416,14 @@ func TestPWCStats(t *testing.T) {
 	if c["arcs_densest"] > c["arcs_at_wstar"] {
 		t.Fatal("densest core cannot exceed the w*-subgraph")
 	}
+	// The warm start's scan visits every arc, and every level removes
+	// its minimum-weight arcs in at least one round.
+	if c["arcs_scanned"] < c["arcs_input"] {
+		t.Fatalf("arcs_scanned = %d, below the %d input arcs", c["arcs_scanned"], c["arcs_input"])
+	}
+	if c["peel_rounds"] < c["levels"] {
+		t.Fatalf("peel_rounds = %d, below the %d levels", c["peel_rounds"], c["levels"])
+	}
 	if res.Density <= 0 {
 		t.Fatal("no density found")
 	}
@@ -549,7 +558,8 @@ func TestWStarWarmStartAblationAgrees(t *testing.T) {
 		}
 		warm := WStarSubgraphOpts(d, 2, true)
 		cold := WStarSubgraphOpts(d, 2, false)
-		return warm.WStar == cold.WStar && warm.Subgraph.M() == cold.Subgraph.M()
+		return warm.WStar == cold.WStar &&
+			slices.Equal(arcSet(warm.Subgraph, warm.Original), arcSet(cold.Subgraph, cold.Original))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -14,6 +14,15 @@
 // candidates. WStarSubgraph is Algorithm 3; PWC is Algorithm 4, and its
 // trace counters carry the paper's Table-7 arc counts.
 //
+// Algorithm 3 runs as a frontier peel (wcore.go): each weight level is one
+// fused scan of the live arc list, which drops removed arcs and finds the
+// level's minimum weight and its arcs, then frontier rounds that remove
+// them and re-check only the arcs whose weight dropped — the out-arcs of a
+// tail whose d⁺ fell and the in-arcs of a head whose d⁻ fell. Each arc
+// records the level that removed it, so the arcs of the last level are the
+// w*-induced subgraph. The same engine runs Algorithm 4's edge deletions
+// and ExactPruned's ⌈ρ̃²/4⌉ prune.
+//
 // As in internal/uds, every solver is one exported function with the
 // registry's signature, func(ctx, d, solver.Params)
 // (solver.DirectedResult, error), registered directly in register.go.

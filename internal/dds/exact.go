@@ -228,10 +228,9 @@ func ExactPruned(ctx context.Context, d *graph.Directed, p solver.Params) (solve
 	if w0 < 1 {
 		w0 = 1
 	}
-	st := newWState(d, p.Workers)
-	st.peelLevel(w0-1, nil, p.Workers)
-	st.refreshActive(p.Workers)
-	sub, orig := induceFromArcs(d, st.snapshotArcs())
+	st := newPeelState(d)
+	st.peel(w0, 0, p.Workers)
+	sub, orig := induceFromArcs(d, st.tails, st.liveArcs())
 	res, err := Exact(ctx, sub, p)
 	if err != nil {
 		return solver.DirectedResult{}, err

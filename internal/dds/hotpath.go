@@ -7,11 +7,14 @@ package dds
 // dynamically.
 func HotPaths() []string {
 	return []string{
-		"wState.weight",
-		"wState.remove",
-		"wState.minWeight",
-		"wState.minBlock",
-		"wState.peelLevel",
-		"wState.peelBlock",
+		"peelState.removes",
+		"peelState.peel",
+		"peelState.peelMin",
+		"peelState.scan",
+		"peelState.scanBlock",
+		"peelState.drain",
+		"peelState.applyBlock",
+		"peelState.recheckBlock",
+		"peelState.claim",
 	}
 }

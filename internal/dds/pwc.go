@@ -2,13 +2,10 @@ package dds
 
 import (
 	"context"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/cancel"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/solver"
 )
 
@@ -25,7 +22,8 @@ import (
 // re-processes per candidate), arcs_after_warm_start ("PWC₁", after the
 // first d_max level), arcs_at_wstar ("PWC_w*", the w*-induced subgraph),
 // arcs_densest ("PWC_D*", |E(S,T)| of the returned core), wstar and
-// levels.
+// levels, plus the decomposition's work: arcs_scanned (arc slots its
+// scans and re-checks visited) and peel_rounds (its frontier rounds).
 func PWC(ctx context.Context, d *graph.Directed, p solver.Params) (solver.DirectedResult, error) {
 	if err := cancel.Check(ctx); err != nil {
 		return solver.DirectedResult{}, err
@@ -41,6 +39,8 @@ func PWC(ctx context.Context, d *graph.Directed, p solver.Params) (solver.Direct
 		tr.Counter("arcs_densest", arcsDensest)
 		tr.Counter("wstar", ws.WStar)
 		tr.Counter("levels", int64(ws.Levels))
+		tr.Counter("arcs_scanned", ws.ArcsScanned)
+		tr.Counter("peel_rounds", ws.PeelRounds)
 		tr.RaisePeak(ws.ArcsAfterWarmStart)
 	}()
 	if d.M() == 0 {
@@ -89,35 +89,37 @@ func PWC(ctx context.Context, d *graph.Directed, p solver.Params) (solver.Direct
 // findMaxCNPair runs the edge-deletion search of Algorithm 4 on the
 // w*-induced subgraph h: collect the candidate in-degrees d* of arcs whose
 // weight is exactly w*, and for each (ascending), delete to a fixpoint both
-// the arcs that fell below w* (cleanup) and the arcs whose endpoints'
-// degrees are exactly (w*/d*, d*). The candidate charged with emptying the
-// graph is the maximum cn-pair [x*, y*] (Lemma 6). Degrees only decrease,
-// so exhausted candidate lists are re-collected until the graph collapses.
+// the arcs that fell below w* and the arcs whose endpoints' degrees are
+// exactly (w*/d*, d*). The candidate charged with emptying the graph is the
+// maximum cn-pair [x*, y*] (Lemma 6). Degrees only decrease, so exhausted
+// candidate lists are re-collected until the graph collapses.
+//
+// Every deletion is one frontier peel with the predicate w < w*, or w = w*
+// and d⁻(head) = d*. A deletion starts with no arc below w* (h is the
+// w*-induced subgraph, and each deletion ends at its fixpoint), so it
+// removes an exact-pair arc whenever it removes anything.
 func findMaxCNPair(h *graph.Directed, wstar int64, p int) (xstar, ystar int32) {
 	if wstar <= 0 || h.M() == 0 {
 		return 0, 0
 	}
-	st := newWState(h, p)
-	for st.arcsLeft.Load() > 0 {
-		cands := exactInDegrees(st, wstar, p)
-		if len(cands) == 0 {
-			// No arc currently weighs exactly w*: every live arc weighs
-			// more, which contradicts w* being the maximum induce-number
-			// (Proposition 4) unless rounding races delayed a cleanup.
-			// One cleanup pass below w* restores the invariant.
-			if st.peelBelow(wstar, p) == 0 {
-				break // defensive: avoid looping on a theory violation
-			}
-			st.refreshActive(p)
-			continue
+	st := newPeelState(h)
+	for st.left > 0 {
+		if w := st.scan(true, p); w != wstar {
+			// While arcs remain, the minimum is w*: none weighs
+			// less (see above), and if all weighed more, the
+			// (w*+1)-induced subgraph would be non-empty, which
+			// contradicts w* being the maximum induce-number
+			// (Proposition 4). Weights are exact integer products and
+			// a scan runs between rounds, when no removal can leave
+			// its degree reads stale, so any other minimum is a
+			// theory violation; stop rather than loop on it.
+			break
 		}
-		for _, dstar := range cands {
-			xc := int32(wstar / int64(dstar))
-			if st.deleteExact(wstar, dstar, p) {
-				xstar, ystar = xc, dstar
+		for _, dstar := range exactInDegrees(st) {
+			if st.peel(wstar, dstar, p) > 0 {
+				xstar, ystar = int32(wstar/int64(dstar)), dstar
 			}
-			st.refreshActive(p)
-			if st.arcsLeft.Load() == 0 {
+			if st.left == 0 {
 				return xstar, ystar
 			}
 		}
@@ -125,94 +127,17 @@ func findMaxCNPair(h *graph.Directed, wstar int64, p int) (xstar, ystar int32) {
 	return xstar, ystar
 }
 
-// exactInDegrees collects the distinct head in-degrees of live arcs whose
-// current weight is exactly wstar, ascending (the pop order of Algorithm
-// 4's P set, per the paper's Example 4).
-func exactInDegrees(st *wState, wstar int64, p int) []int32 {
-	seen := make(map[int32]struct{})
-	var mu sync.Mutex
-	parallel.ForBlocks(len(st.active), p, 256, func(lo, hi int) {
-		local := map[int32]struct{}{}
-		for i := lo; i < hi; i++ {
-			u := st.active[i]
-			du := int64(st.dplus[u].Load())
-			if du == 0 {
-				continue
-			}
-			alo, ahi := st.d.OutArcRange(u)
-			for a := alo; a < ahi; a++ {
-				if !st.alive[a].Load() {
-					continue
-				}
-				dv := st.dminus[st.d.ArcHead(a)].Load()
-				if du*int64(dv) == wstar {
-					local[dv] = struct{}{}
-				}
-			}
-		}
-		if len(local) > 0 {
-			mu.Lock()
-			for k := range local {
-				seen[k] = struct{}{}
-			}
-			mu.Unlock()
-		}
-	})
-	out := make([]int32, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
+// exactInDegrees returns the distinct head in-degrees of the arcs a
+// minimum-weight scan collected, ascending (the pop order of Algorithm 4's
+// P set, per the paper's Example 4).
+func exactInDegrees(st *peelState) []int32 {
+	front := st.front[:st.nFront.Load()]
+	out := make([]int32, len(front))
+	for i, a := range front {
+		out[i] = st.dminus[st.d.ArcHead(a)].Load()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// peelBelow removes, to a fixpoint, arcs whose weight dropped strictly
-// below wstar; returns how many arcs were removed.
-func (st *wState) peelBelow(wstar int64, p int) int64 {
-	before := st.arcsLeft.Load()
-	st.peelLevel(wstar-1, nil, p)
-	return before - st.arcsLeft.Load()
-}
-
-// deleteExact removes, to a fixpoint, both sub-w* arcs and arcs whose
-// endpoint degrees are exactly (w*/d*, d*); reports whether any exact-pair
-// arc was removed (Algorithm 4, lines 14-17).
-func (st *wState) deleteExact(wstar int64, dstar int32, p int) bool {
-	var removedExact atomic.Bool
-	for {
-		var changed atomic.Bool
-		parallel.ForBlocks(len(st.active), p, 256, func(lo, hi int) {
-			localChanged := false
-			for i := lo; i < hi; i++ {
-				u := st.active[i]
-				alo, ahi := st.d.OutArcRange(u)
-				for a := alo; a < ahi; a++ {
-					if !st.alive[a].Load() {
-						continue
-					}
-					du := int64(st.dplus[u].Load())
-					dv := st.dminus[st.d.ArcHead(a)].Load()
-					w := du * int64(dv)
-					if w < wstar {
-						if st.remove(u, a) {
-							localChanged = true
-						}
-					} else if w == wstar && dv == dstar {
-						if st.remove(u, a) {
-							removedExact.Store(true)
-							localChanged = true
-						}
-					}
-				}
-			}
-			if localChanged {
-				changed.Store(true)
-			}
-		})
-		if !changed.Load() {
-			return removedExact.Load()
-		}
-	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // bestDivisorCore enumerates the divisor pairs (x, w*/x) of w* and returns

@@ -9,6 +9,12 @@ func (d *Directed) OutArcRange(u int32) (lo, hi int64) {
 	return d.outOff[u], d.outOff[u+1]
 }
 
+// InArcRange returns the half-open range of v's in-arcs in the in-CSR:
+// positions into InNeighbors order and into the slice InArcIDs returns.
+func (d *Directed) InArcRange(v int32) (lo, hi int64) {
+	return d.inOff[v], d.inOff[v+1]
+}
+
 // ArcHead returns the head vertex of arc id.
 func (d *Directed) ArcHead(id int64) int32 { return d.outAdj[id] }
 

@@ -49,7 +49,10 @@ func TestInArcIDsConsistency(t *testing.T) {
 		tails := d.ArcTails()
 		for v := int32(0); int(v) < d.N(); v++ {
 			ins := d.InNeighbors(v)
-			lo := dInOff(d, v)
+			lo, hi := d.InArcRange(v)
+			if hi-lo != int64(len(ins)) {
+				t.Fatalf("InArcRange(%d) spans %d arcs, in-degree %d", v, hi-lo, len(ins))
+			}
 			for i, u := range ins {
 				a := ids[lo+int64(i)]
 				if tails[a] != u {
@@ -69,9 +72,4 @@ func TestInArcIDsConsistency(t *testing.T) {
 			seen[a] = true
 		}
 	}
-}
-
-// dInOff exposes the in-CSR offset for tests without widening the API.
-func dInOff(d *Directed, v int32) int64 {
-	return d.inOff[v]
 }
